@@ -5,9 +5,16 @@
 // Following section 3.4, classification can run on a short window (the
 // paper uses 2020m1, before Covid skews the baseline) while detection
 // runs over a longer one (2020h1).
+//
+// run_fleet() is the batch schedule of the one streaming engine
+// (core/streaming.h); the incremental, sharded and served drives
+// finalize to the same bytes.  The analysis runs through the batched
+// SoA kernels wherever the engine can use them (analysis/batch.h); the
+// result is bit-identical to the scalar kernels per block.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/aggregate.h"
@@ -56,15 +63,6 @@ struct FleetConfig {
   bool fuse_observation_windows = true;
 
   int threads = 0;  ///< 0 = hardware concurrency
-
-  /// Lanes of the batched SoA analysis path (analysis/batch.h) feeding
-  /// classification and detection: 0 = full width
-  /// (analysis::BatchAnalyzer::kMaxLanes), 1 = the legacy scalar
-  /// per-block path, otherwise clamped to [1, kMaxLanes].  Results are
-  /// bit-identical at every width (the batched kernels replicate the
-  /// scalar arithmetic per lane); the knob exists for the
-  /// scalar-vs-batched frontier benchmarks and equivalence tests.
-  int analysis_batch_width = 0;
 };
 
 struct BlockOutcome {
@@ -91,6 +89,19 @@ struct FleetResult {
 
 /// Runs the pipeline over every block of the world.
 FleetResult run_fleet(const sim::World& world, const FleetConfig& config);
+
+/// The per-block observation setup (observers, loss, prober, repair,
+/// faults, reconstruction) the fleet uses for dataset `ds`.
+recon::BlockObservationConfig block_observation_config(
+    const FleetConfig& cfg, const DatasetSpec& ds);
+
+/// Degraded-mode annotation: marks every change low-evidence when the
+/// reconstruction's evidence fraction is below `evidence_floor`, else
+/// each change whose evidence window overlaps a coverage gap.
+void annotate_low_evidence(std::vector<DetectedChange>& changes,
+                           double evidence_fraction,
+                           std::span<const recon::CoverageGap> gaps,
+                           double evidence_floor);
 
 /// Aggregates a fleet result's activity changes by gridcell/continent
 /// over the detection window.

@@ -6,8 +6,12 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <deque>
+#include <functional>
+#include <limits>
 #include <span>
 #include <thread>
+#include <vector>
 
 #include "analysis/stl.h"
 #include "core/checkpoint.h"
@@ -15,47 +19,6 @@
 namespace diurnal::core {
 
 namespace {
-
-recon::BlockObservationConfig observation_config(const FleetConfig& cfg,
-                                                 const DatasetSpec& ds) {
-  recon::BlockObservationConfig oc;
-  oc.observers = ds.observers();
-  oc.loss = probe::LossModel(cfg.loss);
-  oc.window = ds.window();
-  oc.prober.kind =
-      ds.survey ? probe::ProberKind::kSurvey : probe::ProberKind::kTrinocular;
-  oc.one_loss_repair = cfg.one_loss_repair;
-  oc.additional_observations = cfg.additional_observations;
-  oc.faults = &cfg.faults;
-  oc.recon = cfg.recon;
-  return oc;
-}
-
-// Degraded-mode annotation: a change whose evidence window overlaps a
-// coverage gap (or whose whole reconstruction fell below the confidence
-// floor) may be observers failing rather than humans moving.  One day of
-// slack on each side, because STL smoothing and CUSUM change-dating can
-// land the excursion boundary a few samples off the gap edge.
-void annotate_low_evidence(std::vector<DetectedChange>& changes,
-                           double evidence_fraction,
-                           std::span<const recon::CoverageGap> gaps,
-                           double evidence_floor) {
-  if (changes.empty()) return;
-  const bool all_low = evidence_fraction < evidence_floor;
-  constexpr util::SimTime kSlack = util::kSecondsPerDay;
-  for (auto& c : changes) {
-    if (all_low) {
-      c.low_evidence = true;
-      continue;
-    }
-    for (const auto& g : gaps) {
-      if (c.start - kSlack < g.end && c.end + kSlack > g.start) {
-        c.low_evidence = true;
-        break;
-      }
-    }
-  }
-}
 
 unsigned resolve_threads(int requested) {
   const unsigned n = requested > 0
@@ -75,19 +38,7 @@ unsigned resolve_threads(int requested) {
 // hash, never shared RNG state.
 constexpr std::size_t kChunk = 16;
 
-/// `make_worker()` builds one worker closure (owning its scratch); each
-/// runs until the shared counter is exhausted.
-template <typename MakeWorker>
-void run_pool(unsigned n_threads, MakeWorker&& make_worker) {
-  if (n_threads <= 1) {
-    make_worker()();
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(make_worker());
-  for (auto& t : pool) t.join();
-}
+constexpr std::size_t kLanes = analysis::BatchAnalyzer::kMaxLanes;
 
 /// Trailing-window span for the provisional detector's STL re-fits, in
 /// seasonal periods: long enough that the right edge of the trend is
@@ -97,101 +48,62 @@ constexpr std::size_t kTrailPeriods = 5;
 
 }  // namespace
 
-// One worker's batched-analysis state.  Slots queue finalized blocks
-// until a full-width SoA batch is ready (or the worker runs out of
-// blocks — the ragged tail flushes narrower).  finalize_stats() writes
-// into the slot in place, and slot vectors reuse their high-water
-// capacity, so the batched path keeps the drives' zero-allocs-per-block
+// One worker's context.  finish() queues finalized blocks as slots
+// until a full-width SoA batch is ready (the ragged tail flushes
+// narrower when the worker runs out of blocks).  finalize_stats()
+// writes into the slot in place, and slot vectors reuse their
+// high-water capacity, so every drive keeps its zero-allocs-per-block
 // steady state.
-struct StreamingFleet::BatchCtx {
+struct StreamingFleet::Worker {
   struct Slot {
     std::size_t index = 0;
+    bool classify = false;  ///< kSame: the verdict is computed at flush
     recon::DegradedReconStats sr;
   };
 
-  BatchCtx(const FleetConfig& cfg, std::size_t width)
-      : width(width), det(cfg.detector, width) {}
+  explicit Worker(const DetectorOptions& detector) : det(detector) {}
 
-  std::size_t width;
-  std::array<Slot, analysis::BatchAnalyzer::kMaxLanes> slots;
+  probe::ProbeScratch scratch;
+  recon::BlockStream cpass;         ///< kSeparate classification pass
+  recon::DegradedReconStats sr;     ///< classification-window stats
+  recon::ReconStats screen_stats;   ///< provisional screen snapshot
+  analysis::BlockAnalyzer analyzer;
+  std::array<Slot, kLanes> slots;
   std::size_t n_slots = 0;
-  analysis::BatchAnalyzer az;
+  analysis::BatchAnalyzer baz;
   BatchDetector det;
+  Cell cell;  ///< the batch drive's one live cell
+  // Incremental-drive reductions.
+  std::size_t delivered = 0;
+  std::vector<ProvisionalChange> found;
 };
 
-std::size_t StreamingFleet::batch_width() const noexcept {
-  const int w = config_.analysis_batch_width;
-  if (w <= 0) return analysis::BatchAnalyzer::kMaxLanes;
-  return std::min<std::size_t>(static_cast<std::size_t>(w),
-                               analysis::BatchAnalyzer::kMaxLanes);
-}
-
-void StreamingFleet::classify_flush(BatchCtx& b,
-                                    analysis::BlockAnalyzer& az) {
-  if (b.n_slots == 0) return;
-  std::array<BatchClassifyJob, analysis::BatchAnalyzer::kMaxLanes> jobs;
-  for (std::size_t k = 0; k < b.n_slots; ++k) {
-    const BatchCtx::Slot& s = b.slots[k];
-    const recon::ReconStats& rs = s.sr.recon;
-    jobs[k] = BatchClassifyJob{store_.series(s.index), rs.start,
-                               rs.step,           rs.responsive,
-                               rs.evidence_fraction,
-                               &result_.outcomes[s.index].cls};
+template <typename Step>
+std::deque<StreamingFleet::Worker> StreamingFleet::run_pool(Step&& step) {
+  std::deque<Worker> workers;
+  for (unsigned t = 0; t < threads_; ++t) {
+    workers.emplace_back(config_.detector);
   }
-  classify_blocks_batch(std::span<BatchClassifyJob>(jobs.data(), b.n_slots),
-                        config_.classifier, b.az, az);
-  for (std::size_t k = 0; k < b.n_slots; ++k) {
-    const BatchCtx::Slot& s = b.slots[k];
-    result_.degradation.blocks[s.index] = fault::summarize_block(
-        s.sr.observers, static_cast<int>(s.sr.observers.size()),
-        classify_oc_.window, s.sr.recon.evidence_fraction,
-        s.sr.recon.max_gap_seconds, evidence_floor_);
-  }
-  if (config_.run_detection) {
-    // The batched detector requires the STL trend model; the naive
-    // ablation keeps the scalar path.
-    const bool batched =
-        config_.detector.trend_model == TrendModel::kStl && b.width > 1;
-    for (std::size_t k = 0; k < b.n_slots; ++k) {
-      const BatchCtx::Slot& s = b.slots[k];
-      BlockOutcome& out = result_.outcomes[s.index];
-      if (!out.cls.change_sensitive) continue;
-      if (batched) {
-        b.det.enqueue(store_.series(s.index), s.sr.recon.start,
-                      s.sr.recon.step, &out.changes);
-      } else {
-        detect_outcome(s.index, store_.series(s.index), s.sr.recon, az);
-      }
+  std::atomic<std::size_t> next{0};
+  auto work = [&](Worker& w) {
+    for (;;) {
+      const std::size_t begin =
+          next.fetch_add(kChunk, std::memory_order_relaxed);
+      if (begin >= blocks_.size()) break;
+      const std::size_t end = std::min(begin + kChunk, blocks_.size());
+      for (std::size_t i = begin; i < end; ++i) step(w, i);
     }
-    if (batched) {
-      b.det.flush();
-      for (std::size_t k = 0; k < b.n_slots; ++k) {
-        const BatchCtx::Slot& s = b.slots[k];
-        BlockOutcome& out = result_.outcomes[s.index];
-        if (!out.cls.change_sensitive) continue;
-        annotate_low_evidence(out.changes, s.sr.recon.evidence_fraction,
-                              s.sr.recon.gaps, evidence_floor_);
-      }
-    }
+    flush(w);
+  };
+  if (threads_ <= 1) {
+    work(workers.front());
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(threads_);
+    for (auto& w : workers) pool.emplace_back(work, std::ref(w));
+    for (auto& t : pool) t.join();
   }
-  b.n_slots = 0;
-}
-
-void StreamingFleet::detect_flush(BatchCtx& b) {
-  if (b.n_slots == 0) return;
-  for (std::size_t k = 0; k < b.n_slots; ++k) {
-    const BatchCtx::Slot& s = b.slots[k];
-    b.det.enqueue(store_.series(s.index), s.sr.recon.start, s.sr.recon.step,
-                  &result_.outcomes[s.index].changes);
-  }
-  b.det.flush();
-  for (std::size_t k = 0; k < b.n_slots; ++k) {
-    const BatchCtx::Slot& s = b.slots[k];
-    annotate_low_evidence(result_.outcomes[s.index].changes,
-                          s.sr.recon.evidence_fraction, s.sr.recon.gaps,
-                          evidence_floor_);
-  }
-  b.n_slots = 0;
+  return workers;
 }
 
 StreamingFleet::StreamingFleet(std::span<const sim::BlockProfile> blocks,
@@ -220,10 +132,18 @@ StreamingFleet::StreamingFleet(std::span<const sim::BlockProfile> blocks,
                       : (config.fuse_observation_windows && nested
                              ? Mode::kUnion
                              : Mode::kSeparate);
-  classify_oc_ = observation_config(config, classify_ds);
-  detect_oc_ = observation_config(config, config.dataset);
+  classify_oc_ = block_observation_config(config, classify_ds);
+  detect_oc_ = block_observation_config(config, config.dataset);
   evidence_floor_ = config.classifier.min_evidence_fraction;
   threads_ = resolve_threads(config.threads);
+  fork_end_ = mode_ == Mode::kUnion ? classify_window_.end : 0;
+  verdict_end_ = mode_ == Mode::kSame
+                     ? std::numeric_limits<util::SimTime>::max()
+                     : classify_window_.end;
+  drain_end_ = std::max(window_.end, classify_window_.end);
+  screen_ = mode_ == Mode::kSame;
+  batch_detect_ = config.run_detection &&
+                  config.detector.trend_model == TrendModel::kStl;
 
   result_.outcomes.resize(blocks_.size());
   result_.degradation.blocks.resize(blocks_.size());
@@ -253,15 +173,113 @@ void StreamingFleet::classify_outcome(std::size_t i,
       ds.recon.evidence_fraction, ds.recon.max_gap_seconds, evidence_floor_);
 }
 
-void StreamingFleet::detect_outcome(std::size_t i,
-                                    std::span<const double> counts,
-                                    const recon::ReconStats& stats,
-                                    analysis::BlockAnalyzer& az) {
-  BlockOutcome& out = result_.outcomes[i];
-  detect_changes(counts, stats.start, stats.step, config_.detector, az,
-                 out.changes);
-  annotate_low_evidence(out.changes, stats.evidence_fraction, stats.gaps,
-                        evidence_floor_);
+void StreamingFleet::begin_cell(Cell& c, std::size_t i,
+                                probe::ProbeScratch& scratch) {
+  recon::BlockStream stream = std::move(c.stream);
+  c = Cell{};
+  c.stream = std::move(stream);
+  const auto& block = blocks_[i];
+  result_.outcomes[i].id = block.id;
+  c.begun = true;
+  if (block.eb_count == 0) {
+    c.classified = true;  // trivially: never responds
+    c.screened = true;
+    return;
+  }
+  c.stream.begin(block, detect_oc_, scratch, fork_end_);
+  c.stream.bind_series(store_.row(i));
+  c.active = true;
+}
+
+void StreamingFleet::ingest(Cell& c, std::size_t i, util::SimTime until,
+                            Worker& w) {
+  if (!c.begun) begin_cell(c, i, w.scratch);
+  if (!c.active) return;
+  c.stream.set_scratch(w.scratch);
+  if (!c.classified && until >= verdict_end_) {
+    // The classification window is complete: record the verdict before
+    // consuming any later round, so an unwatched block stops here.
+    std::span<const double> counts;
+    if (mode_ == Mode::kUnion) {
+      c.stream.advance_to(classify_window_.end);
+      c.stream.finalize_classify_stats(w.sr);
+      counts = c.stream.classify_series();
+    } else {
+      w.cpass.begin(blocks_[i], classify_oc_, w.scratch);
+      w.cpass.finalize_stats(w.sr);
+      counts = w.cpass.series();
+    }
+    classify_outcome(i, counts, w.sr, w.analyzer);
+    c.classified = true;
+    c.screened = true;
+    c.watched = result_.outcomes[i].cls.change_sensitive &&
+                config_.run_detection;
+    c.active = c.watched;  // only watched blocks ingest further rounds
+  }
+  if (c.active) c.stream.advance_to(until);
+  const std::size_t d = c.stream.delivered_observations();
+  w.delivered += d - c.delivered;
+  c.delivered = d;
+}
+
+void StreamingFleet::finish(Cell& c, std::size_t i, Worker& w) {
+  if (!c.active) return;
+  c.active = false;
+  // kSame classifies (and detects) the full window at flush; the split
+  // modes hold a verdict already and only watched blocks stay active.
+  Worker::Slot& s = w.slots[w.n_slots];
+  s.index = i;
+  s.classify = mode_ == Mode::kSame;
+  c.stream.finalize_stats(s.sr);
+  store_.set_len(i, s.sr.recon.len);
+  if (++w.n_slots == kLanes) flush(w);
+}
+
+void StreamingFleet::flush(Worker& w) {
+  if (w.n_slots == 0) return;
+  const std::span<const Worker::Slot> slots(w.slots.data(), w.n_slots);
+  std::array<BatchClassifyJob, kLanes> jobs;
+  std::size_t n_jobs = 0;
+  for (const Worker::Slot& s : slots) {
+    if (!s.classify) continue;
+    const recon::ReconStats& rs = s.sr.recon;
+    jobs[n_jobs++] = BatchClassifyJob{store_.series(s.index), rs.start,
+                                      rs.step,           rs.responsive,
+                                      rs.evidence_fraction,
+                                      &result_.outcomes[s.index].cls};
+    result_.degradation.blocks[s.index] = fault::summarize_block(
+        s.sr.observers, static_cast<int>(s.sr.observers.size()),
+        classify_oc_.window, rs.evidence_fraction, rs.max_gap_seconds,
+        evidence_floor_);
+  }
+  if (n_jobs > 0) {
+    classify_blocks_batch(std::span<BatchClassifyJob>(jobs.data(), n_jobs),
+                          config_.classifier, w.baz, w.analyzer);
+  }
+  if (config_.run_detection) {
+    // The batched detector requires the STL trend model; the naive
+    // ablation keeps the scalar path.
+    for (const Worker::Slot& s : slots) {
+      BlockOutcome& out = result_.outcomes[s.index];
+      if (!out.cls.change_sensitive) continue;
+      const recon::ReconStats& rs = s.sr.recon;
+      if (batch_detect_) {
+        w.det.enqueue(store_.series(s.index), rs.start, rs.step,
+                      &out.changes);
+      } else {
+        detect_changes(store_.series(s.index), rs.start, rs.step,
+                       config_.detector, w.analyzer, out.changes);
+      }
+    }
+    w.det.flush();
+    for (const Worker::Slot& s : slots) {
+      BlockOutcome& out = result_.outcomes[s.index];
+      if (!out.cls.change_sensitive) continue;
+      annotate_low_evidence(out.changes, s.sr.recon.evidence_fraction,
+                            s.sr.recon.gaps, evidence_floor_);
+    }
+  }
+  w.n_slots = 0;
 }
 
 void StreamingFleet::finish_result() {
@@ -274,142 +292,16 @@ void StreamingFleet::finish_result() {
 
 FleetResult StreamingFleet::run_to_completion() {
   assert(!finished_ && cells_.empty());
-  const auto& blocks = blocks_;
-  const std::size_t width = batch_width();
-  // Batched classification needs store-backed series that outlive the
-  // per-block stream: only kSame binds every classification series to
-  // a SeriesStore row (kUnion/kSeparate classify from stream-internal
-  // views that the next block invalidates).  Batched detection reads
-  // store rows in every mode.
-  const bool batch_classify = width > 1 && mode_ == Mode::kSame;
-  const bool batch_detect =
-      width > 1 && config_.run_detection &&
-      config_.detector.trend_model == TrendModel::kStl;
-  std::atomic<std::size_t> next{0};
-  auto make_worker = [&] {
-    return [&] {
-      probe::ProbeScratch scratch;
-      recon::BlockStream stream;
-      recon::DegradedReconStats classify_sr;
-      recon::DegradedReconStats detect_sr;
-      analysis::BlockAnalyzer analyzer;
-      BatchCtx batch(config_, width);
-      for (;;) {
-        const std::size_t begin =
-            next.fetch_add(kChunk, std::memory_order_relaxed);
-        if (begin >= blocks.size()) break;
-        const std::size_t end = std::min(begin + kChunk, blocks.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& block = blocks[i];
-          BlockOutcome& out = result_.outcomes[i];
-          out.id = block.id;
-          if (block.eb_count == 0) continue;  // never responds
-          switch (mode_) {
-            case Mode::kSame:
-              stream.begin(block, detect_oc_, scratch);
-              stream.bind_series(store_.row(i));
-              if (batch_classify) {
-                // Queue the finalized block; classification, detection
-                // and annotation all happen at flush, reading the
-                // stable store row.
-                BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                s.index = i;
-                stream.finalize_stats(s.sr);
-                store_.set_len(i, s.sr.recon.len);
-                if (++batch.n_slots == width) {
-                  classify_flush(batch, analyzer);
-                }
-              } else {
-                stream.finalize_stats(classify_sr);
-                store_.set_len(i, classify_sr.recon.len);
-                classify_outcome(i, store_.series(i), classify_sr, analyzer);
-                if (out.cls.change_sensitive && config_.run_detection) {
-                  detect_outcome(i, store_.series(i), classify_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-            case Mode::kUnion:
-              stream.begin(block, detect_oc_, scratch, classify_window_.end);
-              stream.bind_series(store_.row(i));
-              stream.advance_to(classify_window_.end);
-              stream.finalize_classify_stats(classify_sr);
-              classify_outcome(i, stream.classify_series(), classify_sr,
-                               analyzer);
-              if (out.cls.change_sensitive && config_.run_detection) {
-                if (batch_detect) {
-                  BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                  s.index = i;
-                  stream.finalize_stats(s.sr);
-                  store_.set_len(i, s.sr.recon.len);
-                  if (++batch.n_slots == width) detect_flush(batch);
-                } else {
-                  stream.finalize_stats(detect_sr);
-                  store_.set_len(i, detect_sr.recon.len);
-                  detect_outcome(i, store_.series(i), detect_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-            case Mode::kSeparate:
-              stream.begin(block, classify_oc_, scratch);
-              stream.finalize_stats(classify_sr);
-              classify_outcome(i, stream.series(), classify_sr, analyzer);
-              if (out.cls.change_sensitive && config_.run_detection) {
-                stream.begin(block, detect_oc_, scratch);
-                stream.bind_series(store_.row(i));
-                if (batch_detect) {
-                  BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                  s.index = i;
-                  stream.finalize_stats(s.sr);
-                  store_.set_len(i, s.sr.recon.len);
-                  if (++batch.n_slots == width) detect_flush(batch);
-                } else {
-                  stream.finalize_stats(detect_sr);
-                  store_.set_len(i, detect_sr.recon.len);
-                  detect_outcome(i, store_.series(i), detect_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-          }
-        }
-      }
-      // Ragged tail: whatever is still queued runs as a narrower batch.
-      if (batch_classify) {
-        classify_flush(batch, analyzer);
-      } else if (batch_detect) {
-        detect_flush(batch);
-      }
-    };
-  };
-  run_pool(threads_, make_worker);
+  run_pool([&](Worker& w, std::size_t i) {
+    begin_cell(w.cell, i, w.scratch);
+    ingest(w.cell, i, drain_end_, w);
+    finish(w.cell, i, w);
+  });
   finish_result();
   return std::move(result_);
 }
 
-void StreamingFleet::begin_cell(std::size_t i, probe::ProbeScratch& scratch) {
-  const auto& block = blocks_[i];
-  Cell& c = cells_[i];
-  result_.outcomes[i].id = block.id;
-  c.begun = true;
-  if (block.eb_count == 0) {
-    c.classified = true;  // trivially: never responds
-    c.screened = true;
-    return;
-  }
-  if (mode_ == Mode::kUnion) {
-    c.stream.begin(block, detect_oc_, scratch, classify_window_.end);
-  } else {
-    c.stream.begin(block, detect_oc_, scratch);
-  }
-  c.stream.bind_series(store_.row(i));
-  c.active = true;
-}
-
-void StreamingFleet::screen_cell(std::size_t i, analysis::BlockAnalyzer& az,
-                                 recon::ReconStats& stats) {
-  Cell& c = cells_[i];
+void StreamingFleet::screen_cell(Cell& c, Worker& w) {
   const std::int64_t step = detect_oc_.recon.sample_step;
   if (step <= 0) {
     c.screened = true;
@@ -425,20 +317,18 @@ void StreamingFleet::screen_cell(std::size_t i, analysis::BlockAnalyzer& az,
   if (rs.emitted() < 2 * period) return;  // not yet decidable
   // Provisional screen: classify a truncated snapshot of the stream so
   // far.  The verdict is only a watch decision — the authoritative
-  // classification happens at finalize over the full window.
+  // classification happens at finish over the full window.
+  recon::ReconStats& stats = w.screen_stats;
   rs.snapshot_stats(stats);
   const auto counts = c.stream.series().first(stats.len);
   const auto cls =
       classify_block(counts, stats.start, stats.step, stats.responsive,
-                     stats.evidence_fraction, config_.classifier, az);
+                     stats.evidence_fraction, config_.classifier, w.analyzer);
   c.screened = true;
   c.watched = cls.change_sensitive;
 }
 
-void StreamingFleet::update_provisional(std::size_t i,
-                                        analysis::BlockAnalyzer& az,
-                                        std::vector<ProvisionalChange>& out) {
-  Cell& c = cells_[i];
+void StreamingFleet::update_provisional(Cell& c, std::size_t i, Worker& w) {
   const std::int64_t step = detect_oc_.recon.sample_step;
   const std::size_t period =
       static_cast<std::size_t>(config_.detector.period_seconds / step);
@@ -459,8 +349,8 @@ void StreamingFleet::update_provisional(std::size_t i,
     stl.trend_span = static_cast<int>(period + period / 4 + 1);
   }
   const auto samples = c.stream.series();
-  const auto dec = az.decompose_stl(samples.subspan(first, emitted - first),
-                                    stl);
+  const auto dec =
+      w.analyzer.decompose_stl(samples.subspan(first, emitted - first), stl);
 
   if (c.tn == 0) c.trend_base = first;
   for (std::size_t idx = std::max(c.trend_fed, first); idx < emitted; ++idx) {
@@ -492,14 +382,13 @@ void StreamingFleet::update_provisional(std::size_t i,
         window_.start + static_cast<std::int64_t>(c.trend_base + cp.end) * step;
     pc.direction = cp.direction;
     pc.amplitude = cp.amplitude;
-    out.push_back(pc);
+    w.found.push_back(pc);
   }
 }
 
 EpochReport StreamingFleet::advance_to(util::SimTime until) {
   assert(!finished_);
-  const auto& blocks = blocks_;
-  cells_.resize(blocks.size());
+  cells_.resize(blocks_.size());
   until = std::clamp(until, window_.start, window_.end);
   until = std::max(until, clock_);
 
@@ -508,86 +397,25 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
   rep.epoch_start = clock_;
   rep.epoch_end = until;
 
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> delivered{0};
-  std::atomic<unsigned> worker_ids{0};
-  std::vector<std::vector<ProvisionalChange>> found(threads_);
-  auto make_worker = [&] {
-    return [&] {
-      const unsigned wid = worker_ids.fetch_add(1);
-      probe::ProbeScratch scratch;
-      recon::BlockStream cpass;
-      recon::DegradedReconStats dr;
-      recon::ReconStats screen_stats;
-      analysis::BlockAnalyzer analyzer;
-      std::size_t local_delivered = 0;
-      for (;;) {
-        const std::size_t begin =
-            next.fetch_add(kChunk, std::memory_order_relaxed);
-        if (begin >= blocks.size()) break;
-        const std::size_t end = std::min(begin + kChunk, blocks.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          Cell& c = cells_[i];
-          if (!c.begun) begin_cell(i, scratch);
-          if (!c.active) continue;
-          c.stream.set_scratch(scratch);
-          if (mode_ == Mode::kUnion && !c.classified) {
-            c.stream.advance_to(std::min(until, classify_window_.end));
-            if (until >= classify_window_.end) {
-              c.stream.finalize_classify_stats(dr);
-              classify_outcome(i, c.stream.classify_series(), dr, analyzer);
-              c.classified = true;
-              c.screened = true;
-              c.watched = result_.outcomes[i].cls.change_sensitive &&
-                          config_.run_detection;
-              if (c.watched) {
-                c.stream.advance_to(until);
-              } else {
-                c.active = false;  // verdict final, no detection to feed
-              }
-            }
-          } else {
-            c.stream.advance_to(until);
-          }
-          if (mode_ == Mode::kSeparate && !c.classified &&
-              until >= classify_window_.end) {
-            // The classification window is fully in the past: run its
-            // dedicated pass now so the verdict lands on the epoch when
-            // the data became available.
-            cpass.begin(blocks[i], classify_oc_, scratch);
-            cpass.finalize_stats(dr);
-            classify_outcome(i, cpass.series(), dr, analyzer);
-            c.classified = true;
-            c.screened = true;
-            c.watched = result_.outcomes[i].cls.change_sensitive &&
-                        config_.run_detection;
-            if (!c.watched) c.active = false;
-          }
-          const std::size_t d = c.stream.delivered_observations();
-          local_delivered += d - c.delivered;
-          c.delivered = d;
-          if (mode_ == Mode::kSame && !c.screened) {
-            screen_cell(i, analyzer, screen_stats);
-          }
-          if (c.watched) update_provisional(i, analyzer, found[wid]);
-        }
-      }
-      delivered.fetch_add(local_delivered, std::memory_order_relaxed);
-    };
-  };
-  run_pool(threads_, make_worker);
+  auto workers = run_pool([&](Worker& w, std::size_t i) {
+    Cell& c = cells_[i];
+    ingest(c, i, until, w);
+    if (screen_ && !c.screened) screen_cell(c, w);
+    if (c.watched) update_provisional(c, i, w);
+  });
 
   clock_ = until;
-  rep.observations = delivered.load();
-  for (auto& f : found) {
-    rep.provisional.insert(rep.provisional.end(), f.begin(), f.end());
+  for (const Worker& w : workers) {
+    rep.observations += w.delivered;
+    rep.provisional.insert(rep.provisional.end(), w.found.begin(),
+                           w.found.end());
   }
   std::sort(rep.provisional.begin(), rep.provisional.end(),
             [](const ProvisionalChange& a, const ProvisionalChange& b) {
               if (a.alarm != b.alarm) return a.alarm < b.alarm;
               return a.id.id() < b.id.id();
             });
-  if (mode_ != Mode::kSame && clock_ >= classify_window_.end) {
+  if (clock_ >= verdict_end_) {
     rep.classification_complete = true;
     for (const auto& out : result_.outcomes) rep.funnel.add(out.cls);
   }
@@ -596,119 +424,11 @@ EpochReport StreamingFleet::advance_to(util::SimTime until) {
 
 FleetResult StreamingFleet::finalize() {
   assert(!finished_);
-  const auto& blocks = blocks_;
-  cells_.resize(blocks.size());
-  const std::size_t width = batch_width();
-  // Same batching contract as run_to_completion(): kSame batches the
-  // whole classify+detect chain, the split-window modes batch detection
-  // only (their classification reads stream-internal views).
-  const bool batch_classify = width > 1 && mode_ == Mode::kSame;
-  const bool batch_detect =
-      width > 1 && config_.run_detection &&
-      config_.detector.trend_model == TrendModel::kStl;
-  std::atomic<std::size_t> next{0};
-  auto make_worker = [&] {
-    return [&] {
-      probe::ProbeScratch scratch;
-      recon::BlockStream cpass;
-      recon::DegradedReconStats classify_sr;
-      recon::DegradedReconStats detect_sr;
-      analysis::BlockAnalyzer analyzer;
-      BatchCtx batch(config_, width);
-      for (;;) {
-        const std::size_t begin =
-            next.fetch_add(kChunk, std::memory_order_relaxed);
-        if (begin >= blocks.size()) break;
-        const std::size_t end = std::min(begin + kChunk, blocks.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& block = blocks[i];
-          Cell& c = cells_[i];
-          if (!c.begun) begin_cell(i, scratch);
-          if (block.eb_count == 0) continue;
-          c.stream.set_scratch(scratch);
-          BlockOutcome& out = result_.outcomes[i];
-          switch (mode_) {
-            case Mode::kSame:
-              if (batch_classify) {
-                BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                s.index = i;
-                c.stream.finalize_stats(s.sr);
-                store_.set_len(i, s.sr.recon.len);
-                c.classified = true;
-                if (++batch.n_slots == width) {
-                  classify_flush(batch, analyzer);
-                }
-              } else {
-                c.stream.finalize_stats(classify_sr);
-                store_.set_len(i, classify_sr.recon.len);
-                classify_outcome(i, store_.series(i), classify_sr, analyzer);
-                c.classified = true;
-                if (out.cls.change_sensitive && config_.run_detection) {
-                  detect_outcome(i, store_.series(i), classify_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-            case Mode::kUnion:
-              if (!c.classified) {
-                c.stream.advance_to(classify_window_.end);
-                c.stream.finalize_classify_stats(classify_sr);
-                classify_outcome(i, c.stream.classify_series(), classify_sr,
-                                 analyzer);
-                c.classified = true;
-                c.active =
-                    out.cls.change_sensitive && config_.run_detection;
-              }
-              if (c.active) {
-                if (batch_detect) {
-                  BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                  s.index = i;
-                  c.stream.finalize_stats(s.sr);
-                  store_.set_len(i, s.sr.recon.len);
-                  if (++batch.n_slots == width) detect_flush(batch);
-                } else {
-                  c.stream.finalize_stats(detect_sr);
-                  store_.set_len(i, detect_sr.recon.len);
-                  detect_outcome(i, store_.series(i), detect_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-            case Mode::kSeparate:
-              if (!c.classified) {
-                cpass.begin(block, classify_oc_, scratch);
-                cpass.finalize_stats(classify_sr);
-                classify_outcome(i, cpass.series(), classify_sr, analyzer);
-                c.classified = true;
-              }
-              if (out.cls.change_sensitive && config_.run_detection) {
-                if (batch_detect) {
-                  BatchCtx::Slot& s = batch.slots[batch.n_slots];
-                  s.index = i;
-                  c.stream.finalize_stats(s.sr);
-                  store_.set_len(i, s.sr.recon.len);
-                  if (++batch.n_slots == width) detect_flush(batch);
-                } else {
-                  c.stream.finalize_stats(detect_sr);
-                  store_.set_len(i, detect_sr.recon.len);
-                  detect_outcome(i, store_.series(i), detect_sr.recon,
-                                 analyzer);
-                }
-              }
-              break;
-          }
-          c.active = false;
-        }
-      }
-      // Ragged tail: drain what the last chunk left queued.
-      if (batch_classify) {
-        classify_flush(batch, analyzer);
-      } else if (batch_detect) {
-        detect_flush(batch);
-      }
-    };
-  };
-  run_pool(threads_, make_worker);
+  cells_.resize(blocks_.size());
+  run_pool([&](Worker& w, std::size_t i) {
+    ingest(cells_[i], i, drain_end_, w);
+    finish(cells_[i], i, w);
+  });
   finish_result();
   cells_.clear();
   return std::move(result_);
@@ -852,8 +572,8 @@ void StreamingFleet::restore(util::StateReader& r) {
     // Rebuild the config-derived skeleton exactly as the first advance
     // did (stream begin + row binding + outcome id), then overwrite the
     // mutable state from the snapshot.
-    begin_cell(i, scratch);
     Cell& c = cells_[i];
+    begin_cell(c, i, scratch);
     c.active = (flags & kCellActive) != 0;
     c.classified = (flags & kCellClassified) != 0;
     c.screened = (flags & kCellScreened) != 0;

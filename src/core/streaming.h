@@ -1,32 +1,45 @@
 // Streaming fleet engine: the staged, round-by-round pipeline over a
-// whole world.  One implementation serves both drives:
+// whole world.  Every drive is a short schedule over two per-cell steps,
+// and each window mode is written once, inside those steps:
 //
-//   * run_to_completion() — the batch drive.  Each worker runs one
-//     block's BlockStream start-to-finish; run_fleet() is a thin
-//     wrapper over this.  When the classification window is a prefix of
-//     the detection window (same start, same observers), both results
-//     come from ONE observation pass: the stream forks a second
-//     reconstruction at the classification boundary instead of
-//     re-observing the overlap.
+//   * ingest(cell, until) consumes every round starting before `until`.
+//     In the split-window modes it records the block's classification
+//     verdict on the call that crosses the classification end — before
+//     consuming any later round — and keeps ingesting detection rounds
+//     only if the block is watched (change-sensitive, detection on).
+//     kUnion classifies from the reconstruction the stream forked at the
+//     boundary; kSeparate from a dedicated classification pass.
+//   * finish(cell) produces the authoritative outcome: kSame classifies
+//     and detects the full-window reconstruction, the split modes detect
+//     on watched blocks.  Finished blocks queue into the worker's SoA
+//     batch (analysis/batch.h): kSame batches the classify+detect chain,
+//     and detection is batched whenever the trend model is STL.
 //
-//   * advance_to()/finalize() — the incremental drive.  Rounds are
-//     ingested epoch by epoch across every block; each advance returns
-//     an EpochReport with delivery counts, classification progress, and
-//     *provisional* change alarms (trailing-window STL + online CUSUM
-//     over the stable emitted-sample prefix).  finalize() then produces
-//     the authoritative FleetResult, bit-identical to the batch drive —
-//     the per-block state machines guarantee that any advance schedule
-//     finalizes to the same bytes.
+// The three schedules:
+//
+//   * run_to_completion() — the batch drive (run_fleet() wraps it).  One
+//     worker-local cell per worker: begin, ingest(window end), finish,
+//     block after block, so only one live stream per worker exists.
+//   * advance_to(t) — the incremental drive: ingest(t) on every cell,
+//     then the provisional watch.  Each advance returns an EpochReport
+//     with delivery counts, classification progress, and *provisional*
+//     change alarms (trailing-window STL + online CUSUM over the stable
+//     emitted-sample prefix).
+//   * finalize() — ingest(window end) and finish on every cell: the
+//     authoritative FleetResult, bit-identical to the batch drive
+//     whatever the epoch schedule, because the per-block state machines
+//     make any chopping of the window finalize to the same bytes.
 //
 // Provisional vs authoritative: epoch alarms are early warnings, not
 // detections.  They z-normalize with running statistics and freeze the
 // trend as first estimated (the trailing STL's rightmost values, where
 // the fit is least stable), so they can lead, lag, or miss the final
-// verdict; only finalize()'s full-window detection is comparable across
-// runs and hashed by the fleet digest.
+// verdict; only the full-window detection is comparable across runs and
+// hashed by the fleet digest.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <vector>
 
@@ -103,9 +116,9 @@ class StreamingFleet {
   util::SimTime window_start() const noexcept { return window_.start; }
   util::SimTime window_end() const noexcept { return window_.end; }
 
-  /// Batch drive: processes every block start-to-finish in parallel and
-  /// returns the result.  Use either this or the incremental drive on
-  /// one engine instance, not both.
+  /// Batch drive: processes every block start-to-finish in parallel (one
+  /// live cell per worker) and returns the result.  Use either this or
+  /// the incremental drive on one engine instance, not both.
   FleetResult run_to_completion();
 
   /// Incremental drive: ingests every round starting before `until`
@@ -155,7 +168,8 @@ class StreamingFleet {
     kSeparate,  ///< unrelated windows: dedicated classification pass
   };
 
-  /// Per-block incremental state (lazily built by the first advance).
+  /// Per-block state: one per block for the incremental drive (lazily
+  /// built by the first advance), one per worker for the batch drive.
   struct Cell {
     recon::BlockStream stream;
     bool begun = false;
@@ -175,29 +189,31 @@ class StreamingFleet {
     std::size_t reported = 0;  ///< confirmed changes already surfaced
   };
 
-  /// Per-worker state of the batched analysis path: classification and
-  /// detection slots plus the SoA analyzers (defined in streaming.cc).
-  struct BatchCtx;
+  /// One worker's context (defined in streaming.cc): probing scratch,
+  /// the classification pass, stats buffers, the analyzers and the SoA
+  /// batch queue.  Built once per run_pool() call, for every drive.
+  struct Worker;
+
+  /// Runs `step(worker, i)` for every block index across the worker
+  /// pool, then drains each worker's queued batch; returns the workers
+  /// for the caller's reductions.
+  template <typename Step>
+  std::deque<Worker> run_pool(Step&& step);
+
+  // The per-cell steps (see the file comment).  begin_cell() resets the
+  // cell for block i (keeping the stream's buffers) and begins its
+  // detection-window stream; ingest() begins lazily.
+  void begin_cell(Cell& c, std::size_t i, probe::ProbeScratch& scratch);
+  void ingest(Cell& c, std::size_t i, util::SimTime until, Worker& w);
+  void finish(Cell& c, std::size_t i, Worker& w);
+  /// Analyzes the blocks finish() queued on `w` in one SoA batch.
+  void flush(Worker& w);
 
   void classify_outcome(std::size_t i, std::span<const double> counts,
                         const recon::DegradedReconStats& ds,
                         analysis::BlockAnalyzer& az);
-  void detect_outcome(std::size_t i, std::span<const double> counts,
-                      const recon::ReconStats& stats,
-                      analysis::BlockAnalyzer& az);
-  /// Resolved analysis_batch_width (see FleetConfig); 1 = scalar path.
-  std::size_t batch_width() const noexcept;
-  /// Classifies the queued kSame slots in one SoA batch, then feeds
-  /// change-sensitive blocks to the batched detector and annotates.
-  void classify_flush(BatchCtx& b, analysis::BlockAnalyzer& az);
-  /// Runs the queued detection-only slots (kUnion/kSeparate) through
-  /// the batched detector and annotates.
-  void detect_flush(BatchCtx& b);
-  void begin_cell(std::size_t i, probe::ProbeScratch& scratch);
-  void screen_cell(std::size_t i, analysis::BlockAnalyzer& az,
-                   recon::ReconStats& stats);
-  void update_provisional(std::size_t i, analysis::BlockAnalyzer& az,
-                          std::vector<ProvisionalChange>& out);
+  void screen_cell(Cell& c, Worker& w);
+  void update_provisional(Cell& c, std::size_t i, Worker& w);
   void finish_result();
 
   std::span<const sim::BlockProfile> blocks_;
@@ -209,6 +225,21 @@ class StreamingFleet {
   recon::BlockObservationConfig detect_oc_{};
   double evidence_floor_ = 0.0;
   unsigned threads_ = 1;
+  /// kUnion's fork point for the classification reconstruction (0 =
+  /// no fork).
+  util::SimTime fork_end_ = 0;
+  /// ingest() records the split-mode verdict once it reaches this time;
+  /// never for kSame, whose verdict comes from finish().
+  util::SimTime verdict_end_ = 0;
+  /// Ingesting up to here completes every stream and every split-mode
+  /// verdict (the classification window may end after the detection
+  /// window).
+  util::SimTime drain_end_ = 0;
+  /// kSame has no verdict before finish(): a provisional screen of the
+  /// stream so far decides which blocks the incremental drive watches.
+  bool screen_ = false;
+  /// Detection runs through the batched kernels (STL trend model).
+  bool batch_detect_ = false;
 
   FleetResult result_;
   /// Columnar destination for detection-window series: rows are bound

@@ -224,8 +224,16 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) fail("unexpected character");
+    // The whole token must be one number: "1.2.3", "-" or "1e" are
+    // malformed, not a prefix to read.
+    const std::string token = s_.substr(start, pos_ - start);
+    char* end = nullptr;
     v.kind = Value::kNumber;
-    v.number = std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
+    v.number = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size()) {
+      pos_ = start;
+      fail("malformed number '" + token + "'");
+    }
     return v;
   }
 

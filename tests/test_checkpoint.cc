@@ -980,9 +980,6 @@ TEST(ShardCheckpoint, FingerprintSeparatesConfigsButNotExecutionShape) {
   auto threads = fc;
   threads.threads = 8;  // execution shape: digest-invariant, same print
   EXPECT_EQ(core::checkpoint_fingerprint(wc, threads, 64), base);
-  auto width = fc;
-  width.analysis_batch_width = 1;
-  EXPECT_EQ(core::checkpoint_fingerprint(wc, width, 64), base);
 
   auto other_world = wc;
   other_world.seed = 98;

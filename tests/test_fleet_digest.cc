@@ -7,18 +7,26 @@
 // shows up as a different hex string.  The golden value is shared with
 // the bench-smoke CI gate (bench/common.cc).
 //
-// Suite size note: the full ctest suite is 403 tests as of the
-// validation harness (tests/test_validate.cc adds 19, plus the
-// golden_mix cross-pin below); if a refactor drops registered tests,
-// this gate may still pass while coverage silently shrank -- check
-// tests/CMakeLists.txt.
+// Suite size note: if a refactor drops registered tests, this gate may
+// still pass while coverage silently shrank -- check
+// tests/CMakeLists.txt and the ctest total.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "analysis/block_analyzer.h"
 
 #include "core/digest.h"
 #include "core/pipeline.h"
 #include "core/streaming.h"
 #include "fault/fault_plan.h"
+#include "probe/prober.h"
+#include "recon/block_recon.h"
 #include "sim/world.h"
+#include "util/date.h"
 #include "validate/harness.h"
 #include "validate/scenario.h"
 
@@ -73,54 +81,185 @@ TEST(FleetDigest, FaultPlanRunIsThreadCountInvariant) {
   EXPECT_NE(core::digest_hex(d1), kGoldenDigest);
 }
 
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+bool same_cls(const core::BlockClassification& a,
+              const core::BlockClassification& b) {
+  const auto& ad = a.diurnal_detail;
+  const auto& bd = b.diurnal_detail;
+  const auto& as = a.swing_detail;
+  const auto& bs = b.swing_detail;
+  return a.responsive == b.responsive && a.diurnal == b.diurnal &&
+         a.wide_swing == b.wide_swing &&
+         a.change_sensitive == b.change_sensitive &&
+         a.low_confidence == b.low_confidence &&
+         bits_of(a.evidence_fraction) == bits_of(b.evidence_fraction) &&
+         ad.diurnal == bd.diurnal &&
+         bits_of(ad.power_ratio) == bits_of(bd.power_ratio) &&
+         bits_of(ad.total_power) == bits_of(bd.total_power) &&
+         bits_of(ad.diurnal_power) == bits_of(bd.diurnal_power) &&
+         ad.segments == bd.segments &&
+         ad.segments_diurnal == bd.segments_diurnal && as.wide == bs.wide &&
+         as.wide_days == bs.wide_days && as.total_days == bs.total_days &&
+         bits_of(as.max_daily_swing) == bits_of(bs.max_daily_swing) &&
+         as.best_window_wide == bs.best_window_wide;
+}
+
+bool same_changes(const std::vector<core::DetectedChange>& a,
+                  const std::vector<core::DetectedChange>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    const auto& x = a[k];
+    const auto& y = b[k];
+    if (x.start != y.start || x.alarm != y.alarm || x.end != y.end ||
+        x.direction != y.direction ||
+        bits_of(x.amplitude) != bits_of(y.amplitude) ||
+        bits_of(x.amplitude_addresses) != bits_of(y.amplitude_addresses) ||
+        x.filtered_as_outage != y.filtered_as_outage ||
+        x.filtered_small != y.filtered_small ||
+        x.filtered_phase_only != y.filtered_phase_only ||
+        x.low_evidence != y.low_evidence) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Scalar oracle for the engine's batched analysis: every block's
+// outcome must equal the scalar classify_block + detect_changes +
+// low-evidence annotation over the engine's own detection-window series
+// (FleetResult::series), with the reconstruction statistics recomputed
+// by an independent whole-window observation pass.
+class ScalarOracle {
+ public:
+  explicit ScalarOracle(const core::FleetConfig& fc) : fc_(fc) {
+    const auto oc = core::block_observation_config(fc, fc.dataset);
+    probe::ProbeScratch scratch;
+    for (const auto& block : golden_world().blocks()) {
+      recon_.emplace_back();
+      if (block.eb_count > 0) {
+        recon::observe_and_reconstruct_degraded(block, oc, scratch,
+                                                recon_.back());
+      }
+    }
+  }
+
+  void expect_matches(const core::FleetResult& got, const char* what,
+                      bool want_low_evidence) const {
+    const auto& blocks = golden_world().blocks();
+    ASSERT_EQ(got.outcomes.size(), blocks.size()) << what;
+    analysis::BlockAnalyzer az;
+    std::vector<core::DetectedChange> changes;
+    std::size_t mismatches = 0;
+    std::size_t detected = 0;
+    std::size_t low_evidence = 0;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const auto& out = got.outcomes[i];
+      core::BlockClassification cls;
+      changes.clear();
+      const auto series = got.series.series(i);
+      if (blocks[i].eb_count > 0) {
+        const recon::ReconResult& rr = recon_[i].recon;
+        cls = core::classify_block(series, got.series.start(),
+                                   got.series.step(), rr.responsive,
+                                   rr.evidence_fraction, fc_.classifier, az);
+        if (cls.change_sensitive) {
+          core::detect_changes(series, got.series.start(), got.series.step(),
+                               fc_.detector, az, changes);
+          core::annotate_low_evidence(changes, rr.evidence_fraction, rr.gaps,
+                                      fc_.classifier.min_evidence_fraction);
+        }
+        const auto& want = rr.counts.values();
+        if (series.size() != want.size() ||
+            !std::equal(series.begin(), series.end(), want.begin(),
+                        [](double x, double y) {
+                          return bits_of(x) == bits_of(y);
+                        })) {
+          ++mismatches;
+          ADD_FAILURE() << what << ": block " << i << " series differs";
+          continue;
+        }
+      }
+      detected += changes.size();
+      for (const auto& c : changes) low_evidence += c.low_evidence ? 1 : 0;
+      if (!same_cls(out.cls, cls) || !same_changes(out.changes, changes)) {
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << what << ": block " << i
+                        << " differs from the scalar oracle";
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << what;
+    EXPECT_GT(detected, 0u) << what << ": the oracle saw no changes";
+    if (want_low_evidence) {
+      EXPECT_GT(low_evidence, 0u) << what << ": no change was annotated";
+    }
+  }
+
+ private:
+  core::FleetConfig fc_;
+  std::vector<recon::DegradedReconResult> recon_;
+};
+
+core::FleetResult stream_in_two_epochs(const core::FleetConfig& fc) {
+  core::StreamingFleet fleet(golden_world(), fc);
+  fleet.advance_to(fleet.window_start() +
+                   (fleet.window_end() - fleet.window_start()) / 2);
+  fleet.advance_to(fleet.window_end());
+  return fleet.finalize();
+}
+
+// The drives always run the batched SoA kernels, and the lanes a flush
+// fills depend on how the dynamic chunk scheduler hands blocks to
+// workers: the thread count changes which blocks share a batch and how
+// wide each worker's ragged tail is.  Bit identity with the scalar
+// kernels is pinned per block at several such widths.
+
 TEST(FleetDigest, BatchWidthInvariantOnBatchDrive) {
-  // The batched SoA kernels promise bit identity at every width: the
-  // scalar path (width 1), a ragged odd width, a narrow batch, and the
-  // default full width must all land on the golden digest.
-  for (const int width : {1, 2, 5}) {
-    auto fc = golden_config(2);
-    fc.analysis_batch_width = width;
-    const auto result = core::run_fleet(golden_world(), fc);
+  const ScalarOracle oracle(golden_config(1));
+  for (const int threads : {1, 2, 5}) {
+    const auto result = core::run_fleet(golden_world(), golden_config(threads));
+    oracle.expect_matches(result, "batch drive", false);
     EXPECT_EQ(core::digest_hex(core::fleet_digest(result)), kGoldenDigest)
-        << "width " << width;
+        << "threads " << threads;
   }
 }
 
 TEST(FleetDigest, BatchWidthInvariantOnStreamingDrive) {
-  // The incremental drive batches flushes at worker boundaries, a
-  // different grouping than the batch drive — the digest must not see
-  // the difference at any width.
-  for (const int width : {1, 5, 0}) {
-    auto fc = golden_config(2);
-    fc.analysis_batch_width = width;
-    core::StreamingFleet fleet(golden_world(), fc);
-    const util::SimTime mid =
-        fleet.window_start() +
-        (fleet.window_end() - fleet.window_start()) / 2;
-    fleet.advance_to(mid);
-    fleet.advance_to(fleet.window_end());
-    const auto result = fleet.finalize();
+  // The incremental drive flushes at finalize, a different grouping
+  // than the batch drive; neither the blocks nor the digest may see it.
+  const ScalarOracle oracle(golden_config(1));
+  for (const int threads : {1, 5}) {
+    const auto result = stream_in_two_epochs(golden_config(threads));
+    oracle.expect_matches(result, "streaming drive", false);
     EXPECT_EQ(core::digest_hex(core::fleet_digest(result)), kGoldenDigest)
-        << "width " << width;
+        << "threads " << threads;
   }
 }
 
 TEST(FleetDigest, BatchWidthInvariantUnderFaults) {
-  // Degraded runs route blocks through the low-evidence annotations and
-  // NaN-gap kernels; the scalar and batched paths must still agree.
-  auto scalar_fc = golden_config(1);
-  scalar_fc.faults = fault::scenario("dropout", scalar_fc.dataset.window());
-  scalar_fc.analysis_batch_width = 1;
-  const auto scalar_digest =
-      core::fleet_digest(core::run_fleet(golden_world(), scalar_fc));
-
-  auto batched_fc = golden_config(2);
-  batched_fc.faults = fault::scenario("dropout", batched_fc.dataset.window());
-  batched_fc.analysis_batch_width = 0;
-  const auto batched_digest =
-      core::fleet_digest(core::run_fleet(golden_world(), batched_fc));
-
-  EXPECT_EQ(core::digest_hex(scalar_digest), core::digest_hex(batched_digest));
+  // Dropout routes blocks through the NaN-gap kernels; a two-day
+  // blackout of every observer on top leaves coverage gaps, so the
+  // low-evidence annotation fires.  Both drives must match the oracle.
+  for (const bool blackout : {false, true}) {
+    const char* what = blackout ? "blackout" : "dropout";
+    auto fc = golden_config(2);
+    const auto w = fc.dataset.window();
+    fc.faults = fault::scenario("dropout", w);
+    if (blackout) {
+      fc.faults.outages.push_back(fault::OutageSpec{
+          fault::kAllObservers, fault::OutageKind::kHardDown,
+          w.start + 14 * util::kSecondsPerDay,
+          w.start + 16 * util::kSecondsPerDay});
+    }
+    const ScalarOracle oracle(fc);
+    const auto batch = core::run_fleet(golden_world(), fc);
+    oracle.expect_matches(batch, what, blackout);
+    const auto streamed = stream_in_two_epochs(fc);
+    oracle.expect_matches(streamed, what, blackout);
+    EXPECT_EQ(core::fleet_digest(streamed), core::fleet_digest(batch))
+        << what;
+  }
 }
 
 TEST(FleetDigest, ValidationGoldenMixScenarioReproducesGoldenDigest) {

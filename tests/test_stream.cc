@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/cusum.h"
@@ -23,6 +24,7 @@
 #include "recon/stream.h"
 #include "sim/world.h"
 #include "util/date.h"
+#include "util/state_io.h"
 
 namespace diurnal {
 namespace {
@@ -487,6 +489,111 @@ TEST(StreamingFleetTest, FusedUnionWindowMatchesTwoPass) {
   EXPECT_TRUE(complete_seen);
   const auto streamed = fleet.finalize();
   EXPECT_EQ(core::fleet_digest(streamed), core::fleet_digest(two_pass));
+}
+
+// The split-mode ingest rule: on the epoch that crosses the
+// classification end the verdict is recorded first, and only watched
+// blocks ingest further rounds.  Pinned for kUnion (fused prefix
+// window) and kSeparate (unfused, and forced by a skew plan), with one
+// schedule cutting exactly at the classification end and one epoch
+// straddling it.
+TEST(StreamingFleetTest, SplitModeCrossingStopsUnwatchedBlocks) {
+  using Row = core::StreamingFleet::BlockSnapshotRow;
+  struct Case {
+    const char* name;
+    bool fuse;
+    const char* faults;
+    bool separate;
+  };
+  const util::SimTime cend = core::dataset("2020m1-ejnw").window().end;
+  constexpr util::SimTime kDay = util::kSecondsPerDay;
+  const auto& blocks = fleet_world().blocks();
+  for (const Case& k : {Case{"union", true, "none", false},
+                        Case{"separate", false, "none", true},
+                        Case{"separate-skew", true, "skew", true}}) {
+    core::FleetConfig fc;
+    fc.dataset = core::dataset("2020q1-ejnw");
+    fc.classify_dataset = core::dataset("2020m1-ejnw");
+    fc.fuse_observation_windows = k.fuse;
+    fc.faults = fault::scenario(k.faults, fc.dataset.window());
+    fc.threads = 2;
+    const auto want = core::fleet_digest(core::run_fleet(fleet_world(), fc));
+
+    for (const bool exact : {true, false}) {
+      SCOPED_TRACE(std::string(k.name) + (exact ? " exact" : " straddle"));
+      core::StreamingFleet fleet(fleet_world(), fc);
+      const std::vector<util::SimTime> cuts =
+          exact ? std::vector<util::SimTime>{cend - 10 * kDay, cend,
+                                             cend + 10 * kDay,
+                                             fleet.window_end()}
+                : std::vector<util::SimTime>{cend - 10 * kDay, cend + kDay,
+                                             cend + 10 * kDay,
+                                             fleet.window_end()};
+      std::vector<Row> before, rows, crossed;
+      std::vector<std::uint8_t> image;
+      std::size_t resume_from = 0;
+      for (std::size_t e = 0; e < cuts.size(); ++e) {
+        fleet.extract_rows(before);
+        const auto rep = fleet.advance_to(cuts[e]);
+        fleet.extract_rows(rows);
+        EXPECT_EQ(rep.classification_complete, cuts[e] >= cend);
+        if (cuts[e] < cend) continue;
+        if (crossed.empty()) {
+          // The crossing epoch: every verdict lands, unwatched blocks
+          // stop.  kSeparate classifies before ingesting the epoch, so
+          // its unwatched blocks stop at the epoch's start.
+          for (std::size_t i = 0; i < rows.size(); ++i) {
+            ASSERT_TRUE(rows[i].classified) << "block " << i;
+            if (rows[i].cls.change_sensitive) continue;
+            EXPECT_FALSE(rows[i].active) << "block " << i;
+            EXPECT_FALSE(rows[i].watched) << "block " << i;
+            if (k.separate) {
+              EXPECT_EQ(rows[i].delivered, before[i].delivered)
+                  << "block " << i;
+            }
+          }
+          crossed = rows;
+          util::StateWriter w;
+          fleet.save(w);
+          image = w.bytes();
+          resume_from = e + 1;
+          continue;
+        }
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          if (crossed[i].cls.change_sensitive) {
+            EXPECT_TRUE(rows[i].active) << "block " << i;
+            EXPECT_TRUE(rows[i].watched) << "block " << i;
+          } else {
+            EXPECT_FALSE(rows[i].active) << "block " << i;
+            EXPECT_EQ(rows[i].delivered, crossed[i].delivered)
+                << "block " << i;
+          }
+        }
+      }
+      ASSERT_FALSE(crossed.empty());
+      // Watched blocks kept ingesting past the crossing.
+      std::size_t watched = 0;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (!crossed[i].cls.change_sensitive || blocks[i].eb_count == 0) {
+          continue;
+        }
+        ++watched;
+        EXPECT_GT(rows[i].delivered, crossed[i].delivered) << "block " << i;
+      }
+      EXPECT_GT(watched, 0u);
+      EXPECT_EQ(core::fleet_digest(fleet.finalize()), want);
+
+      // Restored at the crossing cut, the rest of the schedule lands on
+      // the same digest.
+      core::StreamingFleet resumed(fleet_world(), fc);
+      util::StateReader r(image);
+      resumed.restore(r);
+      for (std::size_t e = resume_from; e < cuts.size(); ++e) {
+        resumed.advance_to(cuts[e]);
+      }
+      EXPECT_EQ(core::fleet_digest(resumed.finalize()), want);
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // thread-count metamorphic gates the paper-facing numbers rest on.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/detect.h"
@@ -203,6 +205,26 @@ TEST(Baseline, JsonRoundTripIsExact) {
   EXPECT_EQ(rec->digest, "deadbeefcafef00d");
   EXPECT_EQ(rec->score, card);
   EXPECT_TRUE(validate::compare_to_baseline(b, parsed, 1e-9).empty());
+}
+
+TEST(Baseline, MalformedNumbersAreRejected) {
+  // A number token must parse whole: a prefix reading would turn "1.2.3"
+  // into 1.2 and "-" or "e" into 0 without a word.
+  validate::Baseline b;
+  validate::Scorecard card;
+  card.blocks_scored = 12;
+  b.scenarios.emplace_back("s", validate::make_record(card, 1));
+  const std::string json = validate::to_json(b);
+  const std::string field = "\"blocks_scored\": 12";
+  const auto at = json.find(field);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_NO_THROW(validate::parse_baseline(json));
+  for (const char* bad : {"1.2.3", "-", "1e", "+-1", "."}) {
+    std::string mutated = json;
+    mutated.replace(at, field.size(), std::string("\"blocks_scored\": ") + bad);
+    EXPECT_THROW(validate::parse_baseline(mutated), std::runtime_error)
+        << bad;
+  }
 }
 
 TEST(Baseline, ComparatorFlagsEveryCounterDrift) {

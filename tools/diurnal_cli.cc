@@ -57,6 +57,8 @@
 #include "util/mem.h"
 #include "util/table.h"
 
+#include "args.h"
+
 using namespace diurnal;
 
 namespace {
@@ -88,28 +90,6 @@ struct Args {
   std::size_t max_shards = 0;        ///< stop after K computed shards
 };
 
-/// Parses "1d", "6h", "90m", "660s", or bare seconds.
-std::int64_t parse_duration(const std::string& s) {
-  char* end = nullptr;
-  const std::int64_t n = std::strtoll(s.c_str(), &end, 10);
-  std::int64_t scale = 1;
-  if (end != nullptr && *end != '\0') {
-    switch (*end) {
-      case 'd': scale = util::kSecondsPerDay; break;
-      case 'h': scale = 3600; break;
-      case 'm': scale = 60; break;
-      case 's': scale = 1; break;
-      default: scale = 0; break;
-    }
-  }
-  if (n <= 0 || scale == 0) {
-    std::fprintf(stderr, "bad duration '%s' (use e.g. 1d, 6h, 660s)\n",
-                 s.c_str());
-    std::exit(2);
-  }
-  return n * scale;
-}
-
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: diurnal_cli run [--blocks N] [--seed S] [--dataset D]\n"
@@ -140,8 +120,11 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
-    if (flag == "--blocks") a.blocks = std::atoi(value().c_str());
-    else if (flag == "--seed") a.seed = std::strtoull(value().c_str(), nullptr, 10);
+    // Shard counts start at 1: 0 is the built-in "unset" default.
+    auto count = [&] { return tools::int_flag<std::size_t>(flag, value(), 1); };
+    if (flag == "--blocks") a.blocks = tools::int_flag(flag, value(), 1);
+    else if (flag == "--seed")
+      a.seed = tools::int_flag<std::uint64_t>(flag, value());
     else if (flag == "--dataset") a.dataset = value();
     else if (flag == "--classify") a.classify_dataset = value();
     else if (flag == "--country") a.country = value();
@@ -153,18 +136,16 @@ Args parse(int argc, char** argv) {
     else if (flag == "--discover") a.discover = true;
     else if (flag == "--validate") a.validate = true;
     else if (flag == "--stream") a.stream = true;
-    else if (flag == "--shards") a.shards = std::strtoull(value().c_str(), nullptr, 10);
-    else if (flag == "--shard-size") a.shard_size = std::strtoull(value().c_str(), nullptr, 10);
-    else if (flag == "--max-resident") a.max_resident = std::strtoull(value().c_str(), nullptr, 10);
+    else if (flag == "--shards") a.shards = count();
+    else if (flag == "--shard-size") a.shard_size = count();
+    else if (flag == "--max-resident") a.max_resident = count();
     else if (flag == "--checkpoint-dir") a.checkpoint_dir = value();
     else if (flag == "--resume") a.resume = true;
-    else if (flag == "--checkpoint-every")
-      a.checkpoint_every = std::strtoull(value().c_str(), nullptr, 10);
-    else if (flag == "--max-shards")
-      a.max_shards = std::strtoull(value().c_str(), nullptr, 10);
-    else if (flag == "--epoch") a.epoch = parse_duration(value());
+    else if (flag == "--checkpoint-every") a.checkpoint_every = count();
+    else if (flag == "--max-shards") a.max_shards = count();
+    else if (flag == "--epoch") a.epoch = tools::duration_flag(flag, value());
     else if (flag.rfind("--epoch=", 0) == 0)
-      a.epoch = parse_duration(flag.substr(8));
+      a.epoch = tools::duration_flag("--epoch", flag.substr(8));
     else usage();
   }
   return a;

@@ -42,6 +42,8 @@
 #include "util/date.h"
 #include "util/state_io.h"
 
+#include "args.h"
+
 using namespace diurnal;
 
 namespace {
@@ -76,28 +78,6 @@ struct Args {
   std::exit(2);
 }
 
-/// Parses "1d", "6h", "90m", "660s", or bare seconds.
-std::int64_t parse_duration(const std::string& s) {
-  char* end = nullptr;
-  const std::int64_t n = std::strtoll(s.c_str(), &end, 10);
-  std::int64_t scale = 1;
-  if (end != nullptr && *end != '\0') {
-    switch (*end) {
-      case 'd': scale = util::kSecondsPerDay; break;
-      case 'h': scale = 3600; break;
-      case 'm': scale = 60; break;
-      case 's': scale = 1; break;
-      default: scale = 0; break;
-    }
-  }
-  if (n <= 0 || scale == 0) {
-    std::fprintf(stderr, "bad duration '%s' (use e.g. 1d, 6h, 660s)\n",
-                 s.c_str());
-    std::exit(2);
-  }
-  return n * scale;
-}
-
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
@@ -106,23 +86,23 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
-    if (flag == "--blocks") a.blocks = std::atoi(value().c_str());
-    else if (flag == "--seed") a.seed = std::strtoull(value().c_str(), nullptr, 10);
+    if (flag == "--blocks") a.blocks = tools::int_flag(flag, value(), 1);
+    else if (flag == "--seed")
+      a.seed = tools::int_flag<std::uint64_t>(flag, value());
     else if (flag == "--dataset") a.dataset = value();
     else if (flag == "--fault") a.fault_scenario = value();
-    else if (flag == "--epoch") a.epoch = parse_duration(value());
-    else if (flag == "--readers") a.readers = std::atoi(value().c_str());
+    else if (flag == "--epoch") a.epoch = tools::duration_flag(flag, value());
+    else if (flag == "--readers") a.readers = tools::int_flag(flag, value(), 0);
     else if (flag == "--feed-capacity")
-      a.feed_capacity = std::strtoull(value().c_str(), nullptr, 10);
-    else if (flag == "--threads") a.threads = std::atoi(value().c_str());
+      a.feed_capacity = tools::int_flag<std::size_t>(flag, value(), 1);
+    else if (flag == "--threads") a.threads = tools::int_flag(flag, value(), 0);
     else if (flag == "--no-image") a.keep_image = false;
     else if (flag == "--checkpoint-dir") a.checkpoint_dir = value();
     else if (flag == "--resume") a.resume = true;
     else if (flag == "--stop-after")
-      a.stop_after = std::strtoull(value().c_str(), nullptr, 10);
+      a.stop_after = tools::int_flag<std::size_t>(flag, value());
     else usage();
   }
-  if (a.blocks <= 0 || a.readers < 0 || a.epoch <= 0) usage();
   return a;
 }
 
