@@ -11,6 +11,7 @@
 #include "core/checkpoint.h"
 #include "core/streaming.h"
 #include "geo/countries.h"
+#include "util/first_error.h"
 
 namespace diurnal::core {
 
@@ -135,10 +136,15 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
   std::atomic<std::size_t> claimed{0};
   std::atomic<std::size_t> computed{0};
 
-  auto worker = [&] {
+  // A shard that throws (say, a checkpoint write that cannot land) stops
+  // every worker from claiming further shards; the caller gets the
+  // exception after the join.
+  util::FirstError error;
+  auto work = [&] {
     sim::WorldSlice slice;
     ChangeAggregator local_agg(window.start, window.end);
     for (;;) {
+      if (error.failed()) return;
       const std::size_t k = next_shard.fetch_add(1, std::memory_order_relaxed);
       if (k >= n_shards) break;
       if (done[k]) continue;
@@ -212,6 +218,13 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
     const std::lock_guard<std::mutex> lock(agg_mu);
     out.aggregate.merge_from(local_agg);
   };
+  auto worker = [&] {
+    try {
+      work();
+    } catch (...) {
+      error.capture();
+    }
+  };
 
   if (n_workers <= 1) {
     worker();
@@ -221,6 +234,7 @@ ShardedFleetResult run_sharded_fleet(const sim::BlockGenerator& generator,
     for (std::size_t t = 0; t < n_workers; ++t) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
   }
+  error.rethrow_if_any();
 
   if (ckpt) ckpt->flush_manifest();
 

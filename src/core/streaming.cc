@@ -15,6 +15,7 @@
 
 #include "analysis/stl.h"
 #include "core/checkpoint.h"
+#include "util/first_error.h"
 
 namespace diurnal::core {
 
@@ -85,15 +86,23 @@ std::deque<StreamingFleet::Worker> StreamingFleet::run_pool(Step&& step) {
     workers.emplace_back(config_.detector);
   }
   std::atomic<std::size_t> next{0};
+  // A throwing step stops further claims on every worker and reaches
+  // the caller after the join instead of terminating the process.
+  util::FirstError error;
   auto work = [&](Worker& w) {
-    for (;;) {
-      const std::size_t begin =
-          next.fetch_add(kChunk, std::memory_order_relaxed);
-      if (begin >= blocks_.size()) break;
-      const std::size_t end = std::min(begin + kChunk, blocks_.size());
-      for (std::size_t i = begin; i < end; ++i) step(w, i);
+    try {
+      for (;;) {
+        if (error.failed()) return;
+        const std::size_t begin =
+            next.fetch_add(kChunk, std::memory_order_relaxed);
+        if (begin >= blocks_.size()) break;
+        const std::size_t end = std::min(begin + kChunk, blocks_.size());
+        for (std::size_t i = begin; i < end; ++i) step(w, i);
+      }
+      flush(w);
+    } catch (...) {
+      error.capture();
     }
-    flush(w);
   };
   if (threads_ <= 1) {
     work(workers.front());
@@ -103,6 +112,7 @@ std::deque<StreamingFleet::Worker> StreamingFleet::run_pool(Step&& step) {
     for (auto& w : workers) pool.emplace_back(work, std::ref(w));
     for (auto& t : pool) t.join();
   }
+  error.rethrow_if_any();
   return workers;
 }
 

@@ -1,6 +1,8 @@
 #include "fault/inject.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -42,6 +44,66 @@ bool outage_dark_at(std::uint64_t seed, std::size_t spec_index,
   return false;
 }
 
+// Interval k's burst under one spec: one seeded burst per interval of
+// the timeline, its duration mean_duration * [0.5, 1.5) and its start
+// offset uniform over the interval's slack, so bursts land irregularly
+// but reproducibly.  `always` when the burst fills the whole interval.
+struct BurstDraw {
+  SimTime offset = 0;
+  SimTime duration = 0;
+  bool always = false;
+};
+
+BurstDraw burst_draw(std::uint64_t seed, std::size_t spec_index,
+                     const BurstLossSpec& spec, std::uint64_t k) {
+  const std::uint64_t h = util::derive_seed(seed ^ 0xB0B5ULL, spec_index, k);
+  const double u_off = static_cast<double>(h >> 11) * 0x1.0p-53;
+  const double u_dur =
+      static_cast<double>(util::mix64(h) >> 11) * 0x1.0p-53;
+  BurstDraw d;
+  d.duration = static_cast<SimTime>(
+      static_cast<double>(spec.mean_duration) * (0.5 + u_dur));
+  const SimTime slack = spec.mean_interval - d.duration;
+  d.always = slack <= 0;
+  if (!d.always) {
+    d.offset = static_cast<SimTime>(u_off * static_cast<double>(slack));
+  }
+  return d;
+}
+
+// One spec's burst schedule memoized over the interval that holds the
+// last time asked about: for in-window t in [lo, hi), burst_active(t)
+// is on <= t < off.  The default is empty, so the first lookup
+// resolves.  Bursts change once per mean_interval (hours) while
+// observations arrive every few seconds, so the injector resolves each
+// interval once instead of hashing per observation.
+struct BurstWindow {
+  SimTime lo = 1;
+  SimTime hi = 0;
+  SimTime on = 0;
+  SimTime off = 0;
+};
+
+BurstWindow resolve_burst_window(std::uint64_t seed, std::size_t spec_index,
+                                 const BurstLossSpec& spec, SimTime t) {
+  constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  if (spec.mean_interval <= 0) return BurstWindow{kMin, kMax, 0, 0};
+  if (t < 0) {
+    // Truncating division folds negative times into intervals that
+    // straddle zero; resolve just this second from the definition.
+    const bool on = burst_active(seed, spec_index, spec, t);
+    return BurstWindow{t, t + 1, t, on ? t + 1 : t};
+  }
+  const SimTime k = t / spec.mean_interval;
+  const SimTime lo = k * spec.mean_interval;
+  const SimTime hi = lo + spec.mean_interval;
+  const auto index = static_cast<std::uint64_t>(k);
+  const BurstDraw d = burst_draw(seed, spec_index, spec, index);
+  if (d.always) return BurstWindow{lo, hi, lo, hi};
+  return BurstWindow{lo, hi, lo + d.offset, lo + d.offset + d.duration};
+}
+
 }  // namespace
 
 bool observer_dark_at(const FaultPlan& plan, char observer, SimTime t) {
@@ -55,22 +117,11 @@ bool burst_active(std::uint64_t seed, std::size_t spec_index,
                   const BurstLossSpec& spec, SimTime t) {
   if (!in_window(t, spec.start, spec.end)) return false;
   if (spec.mean_interval <= 0) return false;
-  // One seeded burst per interval of the timeline: its duration is
-  // mean_duration * [0.5, 1.5) and its start offset is uniform over the
-  // interval's slack, so bursts land irregularly but reproducibly.
   const auto k = static_cast<std::uint64_t>(t / spec.mean_interval);
-  const std::uint64_t h = util::derive_seed(seed ^ 0xB0B5ULL, spec_index, k);
-  const double u_off = static_cast<double>(h >> 11) * 0x1.0p-53;
-  const double u_dur =
-      static_cast<double>(util::mix64(h) >> 11) * 0x1.0p-53;
-  const auto duration = static_cast<SimTime>(
-      static_cast<double>(spec.mean_duration) * (0.5 + u_dur));
-  const SimTime slack = spec.mean_interval - duration;
-  if (slack <= 0) return true;
-  const auto offset =
-      static_cast<SimTime>(u_off * static_cast<double>(slack));
+  const BurstDraw d = burst_draw(seed, spec_index, spec, k);
+  if (d.always) return true;
   const SimTime into = t % spec.mean_interval;
-  return into >= offset && into < offset + duration;
+  return into >= d.offset && into < d.offset + d.duration;
 }
 
 SkewResolution resolve_skew(const FaultPlan& plan, char observer) {
@@ -111,6 +162,9 @@ StreamFaultStats apply_faults_chunk(const FaultPlan& plan, char observer,
 
   const std::int64_t span = window.end - window.start;
   const auto obs_salt = static_cast<std::uint64_t>(observer);
+  // Chunk-local: rebuilt per call, never part of the carried state.
+  thread_local std::vector<BurstWindow> bursts;
+  bursts.assign(plan.bursts.size(), BurstWindow{});
 
   probe::Observation* w = stream.data() + from;
   std::int64_t trunc_round = carry.trunc_round;
@@ -156,7 +210,10 @@ StreamFaultStats apply_faults_chunk(const FaultPlan& plan, char observer,
       for (std::size_t i = 0; i < plan.bursts.size(); ++i) {
         const auto& b = plan.bursts[i];
         if (b.observer != kAllObservers && b.observer != observer) continue;
-        if (!burst_active(plan.seed, i, b, t)) continue;
+        if (!in_window(t, b.start, b.end)) continue;
+        BurstWindow& m = bursts[i];
+        if (t < m.lo || t >= m.hi) m = resolve_burst_window(plan.seed, i, b, t);
+        if (t < m.on || t >= m.off) continue;
         if (hash_uniform(plan.seed ^ 0x10D7ULL, obs_salt,
                          static_cast<std::uint64_t>(t), obs.addr) < b.rate) {
           out.up = false;

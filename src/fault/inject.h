@@ -32,7 +32,10 @@ struct StreamFaultStats {
 bool observer_dark_at(const FaultPlan& plan, char observer, util::SimTime t);
 
 /// True when the indexed burst spec's deterministic schedule is active
-/// at t (exposed for tests and the degradation report).
+/// at t.  This is the reference definition of the burst schedule:
+/// apply_faults_chunk resolves each interval's burst window once and
+/// memoizes it instead of calling this per observation, and the tests
+/// check that memo against this function.
 bool burst_active(std::uint64_t seed, std::size_t spec_index,
                   const BurstLossSpec& spec, util::SimTime t);
 

@@ -133,13 +133,15 @@ class BlockReconState {
     ++observations_;
     const std::size_t a = obs.addr;
     if (a >= static_cast<std::size_t>(eb_count_)) return;
-    if (state_[a] == -1) ++observed_;
-    const std::int8_t now = obs.up ? 1 : 0;
-    if (state_[a] == 1 && now == 0) --active_;
-    if (state_[a] != 1 && now == 1) ++active_;
-    state_[a] = now;
+    // Arithmetic on the up/down bit instead of branches: the bit is
+    // random per observation, so branches on it mispredict.
+    const std::int8_t prev = state_[a];
+    const int now = obs.up ? 1 : 0;
+    observed_ += static_cast<int>(prev == -1);
+    active_ += now - static_cast<int>(prev == 1);
+    positives_ += static_cast<std::size_t>(now);
+    state_[a] = static_cast<std::int8_t>(now);
     last_seen_[a] = rel;
-    if (obs.up) ++positives_;
     if (pass_epoch_[a] != pass_) {
       pass_epoch_[a] = pass_;
       if (++pass_seen_ == eb_count_) {

@@ -100,46 +100,68 @@ void BlockStream::advance_to(SimTime until) {
   }
 }
 
+std::int64_t BlockStream::lower_bound(const Stream& s) const noexcept {
+  // Anything the stream may yet yield orders at or after: its first
+  // unconsumed buffered observation (timestamp already final even while
+  // its value is held by repair), else its prober's next round start
+  // through the skew transform, else +inf once exhausted and drained.
+  if (s.consumed < s.base + s.buf.size()) {
+    return s.buf[s.consumed - s.base].rel_time;
+  }
+  if (!s.state.done) {
+    return std::max<std::int64_t>(
+        0, s.skew.transform(s.state.next_round - config_->window.start));
+  }
+  return std::numeric_limits<std::int64_t>::max();
+}
+
 void BlockStream::pump() {
-  // Pop the globally next observation — order (rel_time, stream index),
-  // the batch merge's total order — whenever no stream can still
-  // produce one ordering before it.  Each stream's lower bound on
-  // anything it may yet yield: its first unconsumed buffered
-  // observation (timestamp already final even while its value is held
-  // by repair), else its prober's next round start through the skew
-  // transform, else +inf once exhausted and drained.
-  const SimTime wstart = config_->window.start;
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
+  // Pops observations in the batch merge's total order (rel_time,
+  // stream index) whenever no stream can still produce one ordering
+  // before them.  Only the popped stream's bound moves while pumping,
+  // so the others' bounds are computed once per call, and the best
+  // stream pops its whole run of released observations that order
+  // before the runner-up's (bound, index) — equal times go to the
+  // lower stream index, as in the batch merge.
+  const std::size_t n = streams_.size();
+  if (n == 0) return;
+  bounds_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) bounds_[i] = lower_bound(streams_[i]);
   for (;;) {
-    std::size_t best = streams_.size();
-    std::int64_t best_rel = kInf;
-    bool best_poppable = false;
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      const Stream& s = streams_[i];
-      std::int64_t rel;
-      bool poppable = false;
-      if (s.consumed < s.base + s.buf.size()) {
-        rel = static_cast<std::int64_t>(
-            s.buf[s.consumed - s.base].rel_time);
-        poppable = s.consumed < s.released;
-      } else if (!s.state.done) {
-        rel = std::max<std::int64_t>(
-            0, s.skew.transform(s.state.next_round - wstart));
-      } else {
-        continue;  // exhausted and drained: bound is +inf
-      }
-      if (rel < best_rel) {
-        best_rel = rel;
+    std::size_t best = 0;
+    std::size_t next = n;  // runner-up; n when there is none
+    for (std::size_t i = 1; i < n; ++i) {
+      if (bounds_[i] < bounds_[best]) {
+        next = best;
         best = i;
-        best_poppable = poppable;
+      } else if (next == n || bounds_[i] < bounds_[next]) {
+        next = i;
       }
     }
-    if (best == streams_.size() || !best_poppable) return;
     Stream& s = streams_[best];
-    const probe::Observation& obs = s.buf[s.consumed - s.base];
-    recon_.push(obs);
-    if (classify_pending_) classify_recon_.push(obs);
-    ++s.consumed;
+    // A watermark, an exhausted stream or a head held by repair blocks
+    // every later observation.
+    if (s.consumed >= s.released) return;
+    const std::int64_t limit =
+        next == n ? std::numeric_limits<std::int64_t>::max() : bounds_[next];
+    const bool wins_ties = best < next;
+    const probe::Observation* const first =
+        s.buf.data() + (s.consumed - s.base);
+    const probe::Observation* const stop = s.buf.data() + (s.released - s.base);
+    const probe::Observation* last = first + 1;
+    while (last != stop) {
+      const std::int64_t rel = last->rel_time;
+      if (rel > limit || (rel == limit && !wins_ties)) break;
+      ++last;
+    }
+    for (const probe::Observation* o = first; o != last; ++o) recon_.push(*o);
+    if (classify_pending_) {
+      for (const probe::Observation* o = first; o != last; ++o) {
+        classify_recon_.push(*o);
+      }
+    }
+    s.consumed += static_cast<std::size_t>(last - first);
+    bounds_[best] = lower_bound(s);
   }
 }
 
@@ -322,7 +344,8 @@ void BlockStream::restore(util::StateReader& r) {
 }
 
 std::size_t BlockStream::memory_bytes() const noexcept {
-  std::size_t bytes = streams_.capacity() * sizeof(Stream);
+  std::size_t bytes = streams_.capacity() * sizeof(Stream) +
+                      bounds_.capacity() * sizeof(std::int64_t);
   for (const auto& s : streams_) {
     bytes += s.buf.capacity() * sizeof(probe::Observation);
   }

@@ -16,7 +16,8 @@
 //     ones;
 //   * the k-way merge pops an observation only once no other stream can
 //     still produce one ordering before it (per-stream watermarks from
-//     the prober's next-round time, through the skew transform);
+//     the prober's next-round time, through the skew transform), a run
+//     of one stream's observations at a time;
 //   * reconstruction emits samples as an idempotent prefix
 //     (BlockReconState).
 #pragma once
@@ -158,6 +159,7 @@ class BlockStream {
     std::uint32_t last_rel = 0;
   };
 
+  std::int64_t lower_bound(const Stream& s) const noexcept;
   void pump();
   void drain_classify_tail();
   void fill_observers(std::vector<fault::ObserverStreamInfo>& out) const;
@@ -169,6 +171,7 @@ class BlockStream {
   util::SimTime classify_end_ = 0;
   bool classify_pending_ = false;
   std::vector<Stream> streams_;
+  std::vector<std::int64_t> bounds_;  ///< pump(): per-stream lower bounds
   BlockReconState recon_;           ///< full (detection) window
   BlockReconState classify_recon_;  ///< union-window mode only
   std::size_t delivered_ = 0;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <vector>
 
 #include "core/datasets.h"
 #include "core/pipeline.h"
@@ -15,6 +17,7 @@
 #include "recon/block_recon.h"
 #include "recon/reconstruct.h"
 #include "sim/world.h"
+#include "util/rng.h"
 
 namespace diurnal::fault {
 namespace {
@@ -216,6 +219,184 @@ TEST(Inject, BurstLossFlipsOnlyPositives) {
                                w.start + static_cast<SimTime>(o.rel_time)));
     }
   }
+}
+
+// The corrupt draw of the injector: a burst active at t flips a
+// positive reply when this uniform falls below the spec's rate.
+double corrupt_draw(std::uint64_t seed, char observer, SimTime t,
+                    std::uint8_t addr) {
+  const auto obs = static_cast<std::uint64_t>(observer);
+  const auto at = static_cast<std::uint64_t>(t);
+  const std::uint64_t h = util::derive_seed(seed ^ 0x10D7ULL, obs, at, addr);
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+// Per-observation reference for a bursts-only plan, straight from the
+// definition: every matching spec in order asks burst_active, and the
+// first spec whose draw falls below its rate flips the reply.
+StreamFaultStats reference_bursts(const FaultPlan& plan, char observer,
+                                  ProbeWindow w, ObservationVec& stream) {
+  StreamFaultStats st;
+  st.input = stream.size();
+  for (auto& o : stream) {
+    if (!o.up) continue;
+    const SimTime t = w.start + static_cast<SimTime>(o.rel_time);
+    for (std::size_t i = 0; i < plan.bursts.size(); ++i) {
+      const auto& b = plan.bursts[i];
+      if (b.observer != kAllObservers && b.observer != observer) continue;
+      if (!burst_active(plan.seed, i, b, t)) continue;
+      if (corrupt_draw(plan.seed, observer, t, o.addr) < b.rate) {
+        o.up = false;
+        ++st.corrupted;
+        break;
+      }
+    }
+  }
+  return st;
+}
+
+void expect_same_injection(const ObservationVec& got,
+                           const StreamFaultStats& got_st,
+                           const ObservationVec& want,
+                           const StreamFaultStats& want_st, int trial) {
+  ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].rel_time, want[i].rel_time) << "trial " << trial;
+    ASSERT_EQ(got[i].addr, want[i].addr) << "trial " << trial;
+    ASSERT_EQ(got[i].up, want[i].up)
+        << "trial " << trial << " observation " << i;
+  }
+  EXPECT_EQ(got_st.input, want_st.input) << "trial " << trial;
+  EXPECT_EQ(got_st.dropped, want_st.dropped) << "trial " << trial;
+  EXPECT_EQ(got_st.corrupted, want_st.corrupted) << "trial " << trial;
+  EXPECT_EQ(got_st.retimed, want_st.retimed) << "trial " << trial;
+}
+
+// The injector resolves each burst interval once and reuses it for the
+// interval's observations.  Seeded random plans check that memo against
+// burst_active per observation, with chunks cut on interval boundaries
+// and one second either side of them.
+TEST(Inject, BurstMemoMatchesPerObservationReference) {
+  std::mt19937_64 rng(0xB0B5);
+  const char observer = 'n';
+  const SimTime span = 3 * kSecondsPerDay;
+  std::size_t corrupted = 0;
+  std::size_t whole_interval_specs = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    // Window starts sit off every interval grid; every fourth trial
+    // starts before time zero, where truncating division folds the
+    // intervals on either side of zero together.
+    SimTime start =
+        20 * kSecondsPerDay + 1 + static_cast<SimTime>(rng() % 7777);
+    if (trial % 4 == 3) {
+      start = -kSecondsPerDay - static_cast<SimTime>(rng() % 7777);
+    }
+    const ProbeWindow w{start, start + span};
+
+    FaultPlan plan;
+    plan.seed = rng();
+    const int n_specs = 1 + static_cast<int>(rng() % 3);
+    for (int k = 0; k < n_specs; ++k) {
+      BurstLossSpec b;
+      const auto who = rng() % 4;
+      b.observer = who == 0 ? 'j' : (who == 1 ? observer : kAllObservers);
+      b.rate = 0.3 + 0.7 * static_cast<double>(rng() % 1000) / 1000.0;
+      b.mean_interval =
+          kSecondsPerHour + static_cast<SimTime>(rng() % (9 * kSecondsPerHour));
+      const auto jitter = static_cast<SimTime>(rng() % b.mean_interval);
+      switch (rng() % 3) {
+        case 0:
+          // From twice the interval on, every burst fills its interval
+          // (slack <= 0).
+          b.mean_duration = 2 * b.mean_interval + jitter;
+          ++whole_interval_specs;
+          break;
+        case 1:
+          // Between one and two intervals, some bursts fill theirs and
+          // the next one may not.
+          b.mean_duration = b.mean_interval + 1 + jitter;
+          ++whole_interval_specs;
+          break;
+        default:
+          b.mean_duration = 60 + jitter / 2;
+      }
+      if (rng() % 2 == 0) {
+        // An active window whose ends fall mid-interval.
+        b.start = w.start + static_cast<SimTime>(rng() % (span / 2));
+        b.end = b.start + 1 + static_cast<SimTime>(rng() % span);
+      }
+      plan.bursts.push_back(b);
+    }
+
+    // Interval boundaries of every spec inside the window, relative.
+    std::vector<SimTime> edges;
+    for (const auto& b : plan.bursts) {
+      SimTime first = w.start / b.mean_interval * b.mean_interval;
+      if (first < w.start) first += b.mean_interval;
+      for (SimTime e = first; e < w.end; e += b.mean_interval) {
+        edges.push_back(e - w.start);
+      }
+    }
+
+    // Dense random stream (repeated timestamps included) plus an
+    // observation on and either side of every boundary.
+    std::vector<std::uint32_t> rels;
+    for (SimTime rel = 0; rel < span; rel += static_cast<SimTime>(rng() % 90)) {
+      rels.push_back(static_cast<std::uint32_t>(rel));
+    }
+    for (const SimTime e : edges) {
+      for (SimTime d = -1; d <= 1; ++d) {
+        if (e + d >= 0 && e + d < span) {
+          rels.push_back(static_cast<std::uint32_t>(e + d));
+        }
+      }
+    }
+    std::sort(rels.begin(), rels.end());
+    ObservationVec stream;
+    for (const std::uint32_t rel : rels) {
+      const auto addr = static_cast<std::uint8_t>(rng() % 16);
+      stream.push_back(Observation{rel, addr, rng() % 10 < 7});
+    }
+
+    ObservationVec want = stream;
+    const StreamFaultStats want_st = reference_bursts(plan, observer, w, want);
+    corrupted += want_st.corrupted;
+
+    ObservationVec whole = stream;
+    const StreamFaultStats whole_st = apply_faults(plan, observer, w, whole);
+    expect_same_injection(whole, whole_st, want, want_st, trial);
+
+    // Chunks cut on each boundary and one second either side of it.
+    std::vector<std::size_t> cuts;
+    for (const SimTime e : edges) {
+      for (SimTime d = -1; d <= 1; ++d) {
+        const auto at = std::lower_bound(rels.begin(), rels.end(), e + d);
+        cuts.push_back(static_cast<std::size_t>(at - rels.begin()));
+      }
+    }
+    cuts.push_back(stream.size());
+    std::sort(cuts.begin(), cuts.end());
+    ObservationVec chunked;
+    FaultCarry carry;
+    StreamFaultStats st;
+    std::size_t taken = 0;
+    for (const std::size_t cut : cuts) {
+      const std::size_t from = chunked.size();
+      chunked.insert(chunked.end(),
+                     stream.begin() + static_cast<std::ptrdiff_t>(taken),
+                     stream.begin() + static_cast<std::ptrdiff_t>(cut));
+      taken = cut;
+      const auto s =
+          apply_faults_chunk(plan, observer, w, chunked, from, carry);
+      st.input += s.input;
+      st.dropped += s.dropped;
+      st.corrupted += s.corrupted;
+      st.retimed += s.retimed;
+    }
+    expect_same_injection(chunked, st, want, want_st, trial);
+  }
+  EXPECT_GT(corrupted, 0u);
+  EXPECT_GT(whole_interval_specs, 0u);
 }
 
 TEST(Inject, TruncationKeepsFirstProbeOfRound) {

@@ -11,6 +11,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/digest.h"
 #include "core/pipeline.h"
@@ -18,6 +22,7 @@
 #include "fault/fault_plan.h"
 #include "sim/world.h"
 #include "sim/world_slice.h"
+#include "util/state_io.h"
 
 namespace diurnal {
 namespace {
@@ -253,6 +258,28 @@ TEST(ShardScheduler, ResidencyStaysWithinMaxResident) {
   EXPECT_GE(sharded.stats.shards, 50u);
   EXPECT_LE(sharded.stats.peak_resident, sc.max_resident);
   EXPECT_LE(sharded.stats.workers, sc.max_resident);
+}
+
+// A worker whose checkpoint write fails must surface the error on the
+// caller instead of ending the process in std::terminate: a directory
+// squatting on shard 0's checkpoint path makes the rename into place
+// fail on a worker thread.
+TEST(ShardScheduler, CheckpointWriteFailureSurfacesAsStateError) {
+  const std::string name = "diurnal_shard_fail_" + std::to_string(::getpid());
+  const auto dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "shard-0.ckpt");
+  core::ShardConfig sc;
+  sc.shard_size = 100;
+  sc.max_resident = 2;
+  sc.checkpoint_dir = dir.string();
+  try {
+    core::run_sharded_fleet(small_world_config(), fleet_config(2), sc);
+    ADD_FAILURE() << "expected a StateError";
+  } catch (const util::StateError& e) {
+    EXPECT_EQ(e.kind(), util::StateErrorKind::kIo);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

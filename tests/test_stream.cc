@@ -385,41 +385,56 @@ TEST(BlockStreamTest, EpochAdvanceMatchesBatchOracle) {
   }
 }
 
+// The fork under every fault plan the union mode admits (skew is
+// excluded), on two drive schedules: daily cuts with one landing on the
+// classification boundary, and the batch drive's single
+// advance_to(classify_end) before finalizing, where the merge pops
+// week- and month-long buffers and pushes each run to both
+// reconstructions.
 TEST(BlockStreamTest, UnionForkMatchesDedicatedClassifyPass) {
   const auto detect_ds = core::dataset("2020m1-ejnw");
   const ProbeWindow dw = detect_ds.window();
   const util::SimTime classify_end = dw.start + 7 * util::kSecondsPerDay;
 
-  recon::BlockObservationConfig detect_oc;
-  detect_oc.observers = detect_ds.observers();
-  detect_oc.window = dw;
-  recon::BlockObservationConfig classify_oc = detect_oc;
-  classify_oc.window = ProbeWindow{dw.start, classify_end};
+  for (const char* name : {"none", "bursts", "dropout", "truncate"}) {
+    const auto plan = fault::scenario(name, dw);
+    recon::BlockObservationConfig detect_oc;
+    detect_oc.observers = detect_ds.observers();
+    detect_oc.window = dw;
+    detect_oc.faults = &plan;
+    recon::BlockObservationConfig classify_oc = detect_oc;
+    classify_oc.window = ProbeWindow{dw.start, classify_end};
 
-  for (std::size_t b = 0; b < 4; ++b) {
-    const auto& block = responsive_block(b);
-    const auto want_classify = batch_oracle(block, classify_oc);
-    const auto want_detect = batch_oracle(block, detect_oc);
+    for (std::size_t b = 0; b < 4; ++b) {
+      SCOPED_TRACE("block " + std::to_string(b));
+      const auto& block = responsive_block(b);
+      const auto want_classify = batch_oracle(block, classify_oc);
+      const auto want_detect = batch_oracle(block, detect_oc);
 
-    probe::ProbeScratch scratch;
-    recon::BlockStream stream;
-    stream.begin(block, detect_oc, scratch, classify_end);
-    // Epoch boundary landing exactly on the classification boundary.
-    for (util::SimTime t = dw.start; t < classify_end;
-         t += util::kSecondsPerDay) {
-      stream.advance_to(t);
+      for (const bool daily : {true, false}) {
+        SCOPED_TRACE(std::string(name) + (daily ? " daily" : " batch"));
+        probe::ProbeScratch scratch;
+        recon::BlockStream stream;
+        stream.begin(block, detect_oc, scratch, classify_end);
+        if (daily) {
+          for (util::SimTime t = dw.start; t < classify_end;
+               t += util::kSecondsPerDay) {
+            stream.advance_to(t);
+          }
+        }
+        stream.advance_to(classify_end);
+        recon::DegradedReconResult got_classify;
+        stream.finalize_classify(got_classify);
+        expect_recon_equal(got_classify.recon, want_classify.recon);
+        expect_observers_equal(got_classify.observers, want_classify.observers);
+
+        // The detection stream continues from the fork untouched.
+        recon::DegradedReconResult got_detect;
+        stream.finalize(got_detect);
+        expect_recon_equal(got_detect.recon, want_detect.recon);
+        expect_observers_equal(got_detect.observers, want_detect.observers);
+      }
     }
-    stream.advance_to(classify_end);
-    recon::DegradedReconResult got_classify;
-    stream.finalize_classify(got_classify);
-    expect_recon_equal(got_classify.recon, want_classify.recon);
-    expect_observers_equal(got_classify.observers, want_classify.observers);
-
-    // The detection stream continues from the fork untouched.
-    recon::DegradedReconResult got_detect;
-    stream.finalize(got_detect);
-    expect_recon_equal(got_detect.recon, want_detect.recon);
-    expect_observers_equal(got_detect.observers, want_detect.observers);
   }
 }
 
