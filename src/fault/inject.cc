@@ -1,5 +1,7 @@
 #include "fault/inject.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -149,98 +151,152 @@ StreamFaultStats apply_faults_chunk(const FaultPlan& plan, char observer,
   st.input = stream.size() - from;
   if (plan.empty() || st.input == 0) return st;
 
-  // Resolve per-observer state once per chunk.
-  bool any_outage = false;
-  for (const auto& o : plan.outages) {
-    any_outage |= o.observer == kAllObservers || o.observer == observer;
-  }
-  const SkewResolution skew_res = resolve_skew(plan, observer);
-  const std::int64_t skew = skew_res.skew_seconds;
-  const double drift_ppm = skew_res.drift_ppm;
-  const bool retime = skew_res.retimes();
-  double trunc_prob = 0.0;
-
-  const std::int64_t span = window.end - window.start;
+  const auto matches = [observer](char who) {
+    return who == kAllObservers || who == observer;
+  };
   const auto obs_salt = static_cast<std::uint64_t>(observer);
-  // Chunk-local: rebuilt per call, never part of the carried state.
-  thread_local std::vector<BurstWindow> bursts;
-  bursts.assign(plan.bursts.size(), BurstWindow{});
 
-  probe::Observation* w = stream.data() + from;
-  std::int64_t trunc_round = carry.trunc_round;
-  bool trunc_fired = carry.trunc_fired;
-  bool trunc_kept_first = carry.trunc_kept_first;
-  for (auto it = stream.begin() + static_cast<std::ptrdiff_t>(from);
-       it != stream.end(); ++it) {
-    const probe::Observation& obs = *it;
-    const SimTime t = window.start + static_cast<SimTime>(obs.rel_time);
-
-    if (any_outage && observer_dark_at(plan, observer, t)) {
-      ++st.dropped;
-      continue;
-    }
-
-    if (!plan.truncations.empty()) {
-      const std::int64_t round = t / util::kRoundSeconds;
-      if (round != trunc_round) {
-        trunc_round = round;
-        trunc_kept_first = false;
-        trunc_prob = 0.0;
-        for (const auto& tr : plan.truncations) {
-          if (tr.observer != kAllObservers && tr.observer != observer) continue;
-          if (!in_window(t, tr.start, tr.end)) continue;
-          trunc_prob = std::max(trunc_prob, tr.prob);
-        }
-        trunc_fired =
-            trunc_prob > 0.0 &&
-            hash_uniform(plan.seed ^ 0x79C7ULL, obs_salt,
-                         static_cast<std::uint64_t>(round)) < trunc_prob;
+  // Stage 1: drops (dark windows, truncated round tails), compacting.
+  bool any_outage = false;
+  for (const auto& o : plan.outages) any_outage |= matches(o.observer);
+  bool any_truncation = false;
+  for (const auto& tr : plan.truncations) {
+    any_truncation |= matches(tr.observer);
+  }
+  if (any_outage || any_truncation) {
+    probe::Observation* w = stream.data() + from;
+    double trunc_prob = 0.0;
+    for (auto it = stream.begin() + static_cast<std::ptrdiff_t>(from);
+         it != stream.end(); ++it) {
+      const SimTime t = window.start + static_cast<SimTime>(it->rel_time);
+      if (any_outage && observer_dark_at(plan, observer, t)) {
+        ++st.dropped;
+        continue;
       }
-      if (trunc_fired) {
-        if (trunc_kept_first) {
-          ++st.dropped;
+      if (any_truncation) {
+        const std::int64_t round = t / util::kRoundSeconds;
+        if (round != carry.trunc_round) {
+          carry.trunc_round = round;
+          carry.trunc_kept_first = false;
+          trunc_prob = 0.0;
+          for (const auto& tr : plan.truncations) {
+            if (!matches(tr.observer) || !in_window(t, tr.start, tr.end)) {
+              continue;
+            }
+            trunc_prob = std::max(trunc_prob, tr.prob);
+          }
+          carry.trunc_fired =
+              trunc_prob > 0.0 &&
+              hash_uniform(plan.seed ^ 0x79C7ULL, obs_salt,
+                           static_cast<std::uint64_t>(round)) < trunc_prob;
+        }
+        if (carry.trunc_fired) {
+          if (carry.trunc_kept_first) {
+            ++st.dropped;
+            continue;
+          }
+          carry.trunc_kept_first = true;
+        }
+      }
+      *w++ = *it;
+    }
+    stream.resize(static_cast<std::size_t>(w - stream.data()));
+  }
+
+  // Stage 2: burst loss on the survivors, at their original times.  The
+  // stage visits an observation only while some spec is on at its
+  // second; otherwise it jumps to the first observation at or after the
+  // earliest time any spec can turn on — its window start, or the next
+  // burst start of its memoized schedule.  The jump needs a time-ordered
+  // chunk.  Chunk-local memo: rebuilt per call, never part of the
+  // carried state.
+  struct SpecBursts {
+    std::size_t index;
+    BurstWindow memo;
+  };
+  thread_local std::vector<SpecBursts> bursts;
+  bursts.clear();
+  for (std::size_t i = 0; i < plan.bursts.size(); ++i) {
+    const auto& b = plan.bursts[i];
+    if (matches(b.observer) && b.mean_interval > 0) {
+      bursts.push_back(SpecBursts{i, BurstWindow{}});
+    }
+  }
+  if (!bursts.empty()) {
+    probe::Observation* p = stream.data() + from;
+    probe::Observation* const end = stream.data() + stream.size();
+    assert(std::is_sorted(p, end,
+                          [](const probe::Observation& a,
+                             const probe::Observation& b) {
+                            return a.rel_time < b.rel_time;
+                          }));
+    while (p != end) {
+      const SimTime t = window.start + static_cast<SimTime>(p->rel_time);
+      bool active = false;
+      SimTime quiet = std::numeric_limits<SimTime>::max();
+      for (SpecBursts& sb : bursts) {
+        const auto& b = plan.bursts[sb.index];
+        if (!in_window(t, b.start, b.end)) {
+          if (t < b.start) quiet = std::min(quiet, b.start);
           continue;
         }
-        trunc_kept_first = true;
-      }
-    }
-
-    probe::Observation out = obs;
-    if (out.up) {
-      for (std::size_t i = 0; i < plan.bursts.size(); ++i) {
-        const auto& b = plan.bursts[i];
-        if (b.observer != kAllObservers && b.observer != observer) continue;
-        if (!in_window(t, b.start, b.end)) continue;
-        BurstWindow& m = bursts[i];
-        if (t < m.lo || t >= m.hi) m = resolve_burst_window(plan.seed, i, b, t);
-        if (t < m.on || t >= m.off) continue;
-        if (hash_uniform(plan.seed ^ 0x10D7ULL, obs_salt,
-                         static_cast<std::uint64_t>(t), obs.addr) < b.rate) {
-          out.up = false;
+        BurstWindow& m = sb.memo;
+        if (t < m.lo || t >= m.hi) {
+          m = resolve_burst_window(plan.seed, sb.index, b, t);
+        }
+        // Past this interval's burst, the next interval's is the
+        // earliest this spec can turn on again.
+        if (t >= m.off) m = resolve_burst_window(plan.seed, sb.index, b, m.hi);
+        if (t < m.on) {
+          quiet = std::min(quiet, m.on);
+          continue;
+        }
+        active = true;
+        // The first active spec whose draw falls below its rate flips a
+        // positive reply; later specs see a non-reply.
+        if (p->up && hash_uniform(plan.seed ^ 0x10D7ULL, obs_salt,
+                                  static_cast<std::uint64_t>(t),
+                                  p->addr) < b.rate) {
+          p->up = false;
           ++st.corrupted;
-          break;
         }
       }
+      if (active) {
+        // Another observation may share this second: visit it too.
+        ++p;
+        continue;
+      }
+      const SimTime quiet_rel = quiet == std::numeric_limits<SimTime>::max()
+                                    ? quiet
+                                    : quiet - window.start;
+      p = std::partition_point(p + 1, end,
+                               [quiet_rel](const probe::Observation& o) {
+                                 return static_cast<SimTime>(o.rel_time) <
+                                        quiet_rel;
+                               });
     }
+  }
 
-    if (retime) {
-      const auto rel = static_cast<std::int64_t>(obs.rel_time) + skew +
-                       static_cast<std::int64_t>(
-                           drift_ppm * 1e-6 *
-                           static_cast<double>(obs.rel_time));
+  // Stage 3: skew/drift retiming; observations pushed outside the
+  // window are dropped.
+  const SkewResolution skew = resolve_skew(plan, observer);
+  if (skew.retimes()) {
+    const std::int64_t span = window.end - window.start;
+    probe::Observation* w = stream.data() + from;
+    for (auto it = stream.begin() + static_cast<std::ptrdiff_t>(from);
+         it != stream.end(); ++it) {
+      const std::int64_t rel = skew.transform(it->rel_time);
       if (rel < 0 || rel >= span) {
         ++st.dropped;
         continue;
       }
-      out.rel_time = static_cast<std::uint32_t>(rel);
+      *w = *it;
+      w->rel_time = static_cast<std::uint32_t>(rel);
+      ++w;
       ++st.retimed;
     }
-    *w++ = out;
+    stream.resize(static_cast<std::size_t>(w - stream.data()));
   }
-  stream.resize(static_cast<std::size_t>(w - stream.data()));
-  carry.trunc_round = trunc_round;
-  carry.trunc_fired = trunc_fired;
-  carry.trunc_kept_first = trunc_kept_first;
   return st;
 }
 

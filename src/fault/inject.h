@@ -85,6 +85,16 @@ StreamFaultStats apply_faults(const FaultPlan& plan, char observer,
 /// through successive chunks at any round-aligned-or-not boundaries
 /// yields the same survivors as one apply_faults pass; per-chunk stats
 /// are additive.
+///
+/// The chunk runs in three stages, each only when the plan has a spec
+/// matching `observer` for it: drops (dark windows, then truncation),
+/// burst loss on the survivors at their original times, then retiming
+/// with drops outside the window.  An observation corrupted by a burst
+/// and then retimed out of the window counts in both `corrupted` and
+/// `dropped`.  The burst stage jumps over the spans where no spec is on,
+/// so stream[from..) must be time-ordered (non-decreasing rel_time), as
+/// prober output is; debug builds assert it.  The truncation carry only
+/// moves for an observer with a matching truncation spec.
 StreamFaultStats apply_faults_chunk(const FaultPlan& plan, char observer,
                                     probe::ProbeWindow window,
                                     probe::ObservationVec& stream,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <limits>
 
 #include "analysis/stats.h"
@@ -31,7 +32,6 @@ void BlockReconState::begin(int eb_count, probe::ProbeWindow window,
   bound_ = {};
   // Per-address state: -1 unknown, 0 down, 1 up.
   state_.fill(-1);
-  last_seen_.fill(-1);
   active_ = 0;
   observed_ = 0;
   positives_ = 0;
@@ -186,12 +186,40 @@ void BlockReconState::snapshot(ReconResult& out) const {
   copy.finalize(out);
 }
 
-void BlockReconState::save(util::StateWriter& w) const {
+void BlockReconState::fork_from(const BlockReconState& src) {
+  assert(src.eb_count_ == eb_count_ && src.window_.start == window_.start &&
+         src.opt_.sample_step == opt_.sample_step &&
+         src.next_sample_ <= n_samples_);
+  // Every field save() writes after the geometry checks, in its order.
+  state_ = src.state_;
+  active_ = src.active_;
+  observed_ = src.observed_;
+  positives_ = src.positives_;
+  next_sample_ = src.next_sample_;
+  last_obs_rel_ = src.last_obs_rel_;
+  fresh_samples_ = src.fresh_samples_;
+  max_active_ = src.max_active_;
+  max_gap_seconds_ = src.max_gap_seconds_;
+  gaps_.assign(src.gaps_.begin(), src.gaps_.end());
+  pass_epoch_ = src.pass_epoch_;
+  pass_ = src.pass_;
+  pass_seen_ = src.pass_seen_;
+  pass_start_ = src.pass_start_;
+  fbs_spans_.assign(src.fbs_spans_.begin(), src.fbs_spans_.end());
+  observations_ = src.observations_;
+  std::copy_n(src.series_view().data(), next_sample_,
+              bound_.empty() ? samples_.data() : bound_.data());
+}
+
+void BlockReconState::save_fork(util::StateWriter& w,
+                                const BlockReconState& into) const {
+  assert(into.eb_count_ == eb_count_ && into.window_.start == window_.start &&
+         into.opt_.sample_step == opt_.sample_step &&
+         next_sample_ <= into.n_samples_);
   // Arguments-derived fields travel only as restore-time checks.
   w.i64(eb_count_);
-  w.u64(n_samples_);
+  w.u64(into.n_samples_);
   for (const std::int8_t s : state_) w.u8(static_cast<std::uint8_t>(s));
-  for (const std::int64_t t : last_seen_) w.i64(t);
   w.i64(active_);
   w.i64(observed_);
   w.u64(positives_);
@@ -223,7 +251,6 @@ void BlockReconState::restore(util::StateReader& r) {
                            "recon state was saved for a different block");
   }
   for (std::int8_t& s : state_) s = static_cast<std::int8_t>(r.u8());
-  for (std::int64_t& t : last_seen_) t = r.i64();
   active_ = static_cast<int>(r.i64());
   observed_ = static_cast<int>(r.i64());
   positives_ = r.u64();

@@ -141,7 +141,6 @@ class BlockReconState {
     active_ += now - static_cast<int>(prev == 1);
     positives_ += static_cast<std::size_t>(now);
     state_[a] = static_cast<std::int8_t>(now);
-    last_seen_[a] = rel;
     if (pass_epoch_[a] != pass_) {
       pass_epoch_[a] = pass_;
       if (++pass_seen_ == eb_count_) {
@@ -185,7 +184,11 @@ class BlockReconState {
   /// with identical arguments, then restore().  Checked fields
   /// (eb_count, sample count) guard against restoring into a state
   /// begun with different arguments.
-  void save(util::StateWriter& w) const;
+  void save(util::StateWriter& w) const { save_fork(w, *this); }
+  /// The image `into` would save() after into.fork_from(*this): this
+  /// machine's state under `into`'s checked sample count.  Same
+  /// preconditions as fork_from().
+  void save_fork(util::StateWriter& w, const BlockReconState& into) const;
   /// Overwrites the mutable state from `r`; the emitted prefix lands in
   /// the current destination (bound row or owned buffer).  After this,
   /// the machine continues exactly where the saved one stopped: pushes,
@@ -193,6 +196,17 @@ class BlockReconState {
   /// run.  Throws util::StateError and leaves the state unusable (call
   /// begin() again) on a corrupt or mismatched image.
   void restore(util::StateReader& r);
+
+  /// Continues from `src`: copies every mutable field and the emitted
+  /// sample prefix into this machine's own geometry and buffer.  Exact
+  /// when both were begun for the same block and options over windows
+  /// with the same start, and `src` has emitted no sample at or beyond
+  /// this machine's sample count — true while every push had rel_time
+  /// <= this machine's window duration, since a push at rel only emits
+  /// samples k with k * sample_step < rel.  BlockStream's union-window
+  /// mode feeds one machine until the stream passes the classification
+  /// end and forks the classification machine from it there.
+  void fork_from(const BlockReconState& src);
 
   /// Number of samples emitted so far (the stable prefix of samples()).
   std::size_t emitted() const noexcept { return next_sample_; }
@@ -242,7 +256,6 @@ class BlockReconState {
   std::vector<double> samples_;
   std::span<double> bound_{};  ///< external output, empty = use samples_
   std::array<std::int8_t, 256> state_{};
-  std::array<std::int64_t, 256> last_seen_{};
   int active_ = 0;
   int observed_ = 0;
   std::size_t positives_ = 0;

@@ -17,6 +17,7 @@ void BlockStream::begin(const sim::BlockProfile& block,
   inject_ = config.faults != nullptr && !config.faults->empty();
   classify_end_ = classify_end;
   classify_pending_ = classify_end != 0;
+  fork_pending_ = classify_pending_;
   assert(!classify_pending_ ||
          (classify_end > config.window.start &&
           classify_end <= config.window.end &&
@@ -154,15 +155,34 @@ void BlockStream::pump() {
       if (rel > limit || (rel == limit && !wins_ties)) break;
       ++last;
     }
-    for (const probe::Observation* o = first; o != last; ++o) recon_.push(*o);
-    if (classify_pending_) {
-      for (const probe::Observation* o = first; o != last; ++o) {
+    // Before the fork, observations up to the classification end go to
+    // recon_ alone; the first one past it forks classify_recon_.
+    const probe::Observation* split = first;
+    if (fork_pending_) {
+      const std::int64_t classify_rel = classify_end_ - config_->window.start;
+      split = std::partition_point(
+          first, last, [classify_rel](const probe::Observation& o) {
+            return static_cast<std::int64_t>(o.rel_time) <= classify_rel;
+          });
+      for (const probe::Observation* o = first; o != split; ++o) {
+        recon_.push(*o);
+      }
+      if (split != last) fork_classify();
+    }
+    for (const probe::Observation* o = split; o != last; ++o) recon_.push(*o);
+    if (classify_pending_ && !fork_pending_) {
+      for (const probe::Observation* o = split; o != last; ++o) {
         classify_recon_.push(*o);
       }
     }
     s.consumed += static_cast<std::size_t>(last - first);
     bounds_[best] = lower_bound(s);
   }
+}
+
+void BlockStream::fork_classify() {
+  classify_recon_.fork_from(recon_);
+  fork_pending_ = false;
 }
 
 void BlockStream::fill_observers(
@@ -212,6 +232,7 @@ void BlockStream::drain_classify_tail() {
 
 void BlockStream::finalize_classify(DegradedReconResult& out) {
   assert(classify_pending_);
+  if (fork_pending_) fork_classify();
   drain_classify_tail();
   classify_recon_.finalize(out.recon);
   fill_observers(out.observers);
@@ -220,6 +241,7 @@ void BlockStream::finalize_classify(DegradedReconResult& out) {
 
 void BlockStream::finalize_classify_stats(DegradedReconStats& out) {
   assert(classify_pending_);
+  if (fork_pending_) fork_classify();
   drain_classify_tail();
   classify_recon_.finalize_stats(out.recon);
   fill_observers(out.observers);
@@ -281,7 +303,11 @@ void BlockStream::save(util::StateWriter& w) const {
     w.u32(s.last_rel);
   }
   recon_.save(w);
-  if (classify_pending_) classify_recon_.save(w);
+  if (fork_pending_) {
+    recon_.save_fork(w, classify_recon_);
+  } else if (classify_pending_) {
+    classify_recon_.save(w);
+  }
 }
 
 void BlockStream::restore(util::StateReader& r) {
@@ -341,6 +367,7 @@ void BlockStream::restore(util::StateReader& r) {
   } else {
     classify_pending_ = false;
   }
+  fork_pending_ = false;
 }
 
 std::size_t BlockStream::memory_bytes() const noexcept {

@@ -52,6 +52,11 @@ class BlockStream {
   /// classify_end != 0 selects union-window mode: one observation pass
   /// over config.window also maintains a second reconstruction over
   /// [window.start, classify_end), finalized by finalize_classify().
+  /// Until the merge releases an observation past classify_end, both
+  /// would take the same pushes and emit the same samples, so only the
+  /// detection reconstruction takes them; the classification one is
+  /// forked from it there (BlockReconState::fork_from), or in
+  /// finalize_classify() if no such observation came.
   /// Requires window.start < classify_end <= window.end and a fault
   /// plan without skew specs (retiming drops depend on the window
   /// span, so a sliced stream would diverge from a dedicated
@@ -116,6 +121,8 @@ class BlockStream {
   /// prober/fault/repair state, its pending observation buffer and the
   /// merge cursors, plus both reconstructions.  Config-derived setup
   /// (observer specs, prober configs, skew resolutions) is not written.
+  /// A stream that has not forked yet writes the image its forked copy
+  /// would, so there is one image format; restore() resumes forked.
   void save(util::StateWriter& w) const;
   /// Restore contract: call begin() with the identical block, config
   /// and classify_end (and bind_series() if the original was bound),
@@ -161,6 +168,7 @@ class BlockStream {
 
   std::int64_t lower_bound(const Stream& s) const noexcept;
   void pump();
+  void fork_classify();
   void drain_classify_tail();
   void fill_observers(std::vector<fault::ObserverStreamInfo>& out) const;
 
@@ -170,6 +178,9 @@ class BlockStream {
   bool inject_ = false;
   util::SimTime classify_end_ = 0;
   bool classify_pending_ = false;
+  /// Union-window mode, before the fork: classify_recon_ is begun but
+  /// not fed; recon_ stands in for it.
+  bool fork_pending_ = false;
   std::vector<Stream> streams_;
   std::vector<std::int64_t> bounds_;  ///< pump(): per-stream lower bounds
   BlockReconState recon_;           ///< full (detection) window

@@ -36,7 +36,7 @@ namespace diurnal::util {
 /// Current image format version.  Bump on any layout change; readers
 /// reject images whose version differs (checkpoints are cheap to
 /// regenerate, so there is no cross-version migration path).
-inline constexpr std::uint32_t kStateFormatVersion = 1;
+inline constexpr std::uint32_t kStateFormatVersion = 2;
 
 enum class StateErrorKind : std::uint8_t {
   kIo,          ///< file missing/unreadable/unwritable

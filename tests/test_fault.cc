@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/datasets.h"
@@ -221,37 +222,130 @@ TEST(Inject, BurstLossFlipsOnlyPositives) {
   }
 }
 
-// The corrupt draw of the injector: a burst active at t flips a
-// positive reply when this uniform falls below the spec's rate.
-double corrupt_draw(std::uint64_t seed, char observer, SimTime t,
-                    std::uint8_t addr) {
-  const auto obs = static_cast<std::uint64_t>(observer);
-  const auto at = static_cast<std::uint64_t>(t);
-  const std::uint64_t h = util::derive_seed(seed ^ 0x10D7ULL, obs, at, addr);
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+// The injector's deterministic uniform in [0,1) from a derived seed.
+double hash_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+                    std::uint64_t c = 0) {
+  return static_cast<double>(util::derive_seed(seed, a, b, c) >> 11) *
+         0x1.0p-53;
 }
 
-// Per-observation reference for a bursts-only plan, straight from the
-// definition: every matching spec in order asks burst_active, and the
-// first spec whose draw falls below its rate flips the reply.
-StreamFaultStats reference_bursts(const FaultPlan& plan, char observer,
-                                  ProbeWindow w, ObservationVec& stream) {
+bool in_window(SimTime t, SimTime start, SimTime end) {
+  return start == end || (t >= start && t < end);
+}
+
+enum class Fate : std::uint8_t { kKept, kCorrupted, kDropped };
+
+// Per-observation reference injector: the single loop apply_faults_chunk
+// ran before it was split into stages, with burst_active — the reference
+// definition of the burst schedule — asked per observation in place of
+// the interval memo.  Appends each input observation's fate to `fates`
+// (an observation corrupted and then retimed out of the window is
+// dropped, and counts in both stats).
+StreamFaultStats reference_apply_chunk(const FaultPlan& plan, char observer,
+                                       ProbeWindow window,
+                                       ObservationVec& stream,
+                                       std::size_t from, FaultCarry& carry,
+                                       std::vector<Fate>* fates = nullptr) {
   StreamFaultStats st;
-  st.input = stream.size();
-  for (auto& o : stream) {
-    if (!o.up) continue;
-    const SimTime t = w.start + static_cast<SimTime>(o.rel_time);
-    for (std::size_t i = 0; i < plan.bursts.size(); ++i) {
-      const auto& b = plan.bursts[i];
-      if (b.observer != kAllObservers && b.observer != observer) continue;
-      if (!burst_active(plan.seed, i, b, t)) continue;
-      if (corrupt_draw(plan.seed, observer, t, o.addr) < b.rate) {
-        o.up = false;
-        ++st.corrupted;
-        break;
+  st.input = stream.size() - from;
+  if (plan.empty() || st.input == 0) {
+    if (fates) fates->insert(fates->end(), st.input, Fate::kKept);
+    return st;
+  }
+
+  // Resolve per-observer state once per chunk.
+  bool any_outage = false;
+  for (const auto& o : plan.outages) {
+    any_outage |= o.observer == kAllObservers || o.observer == observer;
+  }
+  const SkewResolution skew_res = resolve_skew(plan, observer);
+  const std::int64_t skew = skew_res.skew_seconds;
+  const double drift_ppm = skew_res.drift_ppm;
+  const bool retime = skew_res.retimes();
+  double trunc_prob = 0.0;
+
+  const std::int64_t span = window.end - window.start;
+  const auto obs_salt = static_cast<std::uint64_t>(observer);
+  const auto fate = [fates](Fate f) {
+    if (fates) fates->push_back(f);
+  };
+
+  Observation* w = stream.data() + from;
+  std::int64_t trunc_round = carry.trunc_round;
+  bool trunc_fired = carry.trunc_fired;
+  bool trunc_kept_first = carry.trunc_kept_first;
+  for (auto it = stream.begin() + static_cast<std::ptrdiff_t>(from);
+       it != stream.end(); ++it) {
+    const Observation& obs = *it;
+    const SimTime t = window.start + static_cast<SimTime>(obs.rel_time);
+
+    if (any_outage && observer_dark_at(plan, observer, t)) {
+      ++st.dropped;
+      fate(Fate::kDropped);
+      continue;
+    }
+
+    if (!plan.truncations.empty()) {
+      const std::int64_t round = t / kRoundSeconds;
+      if (round != trunc_round) {
+        trunc_round = round;
+        trunc_kept_first = false;
+        trunc_prob = 0.0;
+        for (const auto& tr : plan.truncations) {
+          if (tr.observer != kAllObservers && tr.observer != observer) continue;
+          if (!in_window(t, tr.start, tr.end)) continue;
+          trunc_prob = std::max(trunc_prob, tr.prob);
+        }
+        trunc_fired =
+            trunc_prob > 0.0 &&
+            hash_uniform(plan.seed ^ 0x79C7ULL, obs_salt,
+                         static_cast<std::uint64_t>(round)) < trunc_prob;
+      }
+      if (trunc_fired) {
+        if (trunc_kept_first) {
+          ++st.dropped;
+          fate(Fate::kDropped);
+          continue;
+        }
+        trunc_kept_first = true;
       }
     }
+
+    Observation out = obs;
+    if (out.up) {
+      for (std::size_t i = 0; i < plan.bursts.size(); ++i) {
+        const auto& b = plan.bursts[i];
+        if (b.observer != kAllObservers && b.observer != observer) continue;
+        if (!burst_active(plan.seed, i, b, t)) continue;
+        if (hash_uniform(plan.seed ^ 0x10D7ULL, obs_salt,
+                         static_cast<std::uint64_t>(t), obs.addr) < b.rate) {
+          out.up = false;
+          ++st.corrupted;
+          break;
+        }
+      }
+    }
+
+    if (retime) {
+      const auto rel = static_cast<std::int64_t>(obs.rel_time) + skew +
+                       static_cast<std::int64_t>(
+                           drift_ppm * 1e-6 *
+                           static_cast<double>(obs.rel_time));
+      if (rel < 0 || rel >= span) {
+        ++st.dropped;
+        fate(Fate::kDropped);
+        continue;
+      }
+      out.rel_time = static_cast<std::uint32_t>(rel);
+      ++st.retimed;
+    }
+    fate(out.up == obs.up ? Fate::kKept : Fate::kCorrupted);
+    *w++ = out;
   }
+  stream.resize(static_cast<std::size_t>(w - stream.data()));
+  carry.trunc_round = trunc_round;
+  carry.trunc_fired = trunc_fired;
+  carry.trunc_kept_first = trunc_kept_first;
   return st;
 }
 
@@ -274,8 +368,8 @@ void expect_same_injection(const ObservationVec& got,
 
 // The injector resolves each burst interval once and reuses it for the
 // interval's observations.  Seeded random plans check that memo against
-// burst_active per observation, with chunks cut on interval boundaries
-// and one second either side of them.
+// the per-observation reference (burst_active per observation), with
+// chunks cut on interval boundaries and one second either side of them.
 TEST(Inject, BurstMemoMatchesPerObservationReference) {
   std::mt19937_64 rng(0xB0B5);
   const char observer = 'n';
@@ -359,7 +453,9 @@ TEST(Inject, BurstMemoMatchesPerObservationReference) {
     }
 
     ObservationVec want = stream;
-    const StreamFaultStats want_st = reference_bursts(plan, observer, w, want);
+    FaultCarry want_carry;
+    const StreamFaultStats want_st =
+        reference_apply_chunk(plan, observer, w, want, 0, want_carry);
     corrupted += want_st.corrupted;
 
     ObservationVec whole = stream;
@@ -397,6 +493,247 @@ TEST(Inject, BurstMemoMatchesPerObservationReference) {
   }
   EXPECT_GT(corrupted, 0u);
   EXPECT_GT(whole_interval_specs, 0u);
+}
+
+// Production fates, read off the kept stream: an input observation is
+// kept when the next kept observation is it (address and retimed time),
+// corrupted when that one lost its reply, dropped otherwise.  The
+// streams below give every observation within 16 positions of another a
+// different address, so the match is unambiguous.
+void append_fates(const ObservationVec& input, const ObservationVec& kept,
+                  std::size_t kept_from, const SkewResolution& skew,
+                  std::vector<Fate>& fates) {
+  std::size_t j = kept_from;
+  for (const Observation& o : input) {
+    const std::int64_t rel =
+        skew.retimes() ? skew.transform(o.rel_time) : o.rel_time;
+    if (j < kept.size() && kept[j].rel_time == rel && kept[j].addr == o.addr) {
+      fates.push_back(kept[j].up == o.up ? Fate::kKept : Fate::kCorrupted);
+      ++j;
+    } else {
+      fates.push_back(Fate::kDropped);
+    }
+  }
+  EXPECT_EQ(j, kept.size()) << "kept observations with no input";
+}
+
+void add_stats(StreamFaultStats& acc, const StreamFaultStats& s) {
+  acc.input += s.input;
+  acc.dropped += s.dropped;
+  acc.corrupted += s.corrupted;
+  acc.retimed += s.retimed;
+}
+
+// Every second in [w.start - 1, w.end] where some schedule the injector
+// reads for `observer` changes: the probing round, darkness, each
+// burst spec's activity and interval, each truncation window.
+std::vector<SimTime> fault_edges(const FaultPlan& plan, char observer,
+                                 ProbeWindow w) {
+  std::vector<SimTime> edges;
+  std::vector<std::int64_t> prev;
+  std::vector<std::int64_t> sig;
+  for (SimTime t = w.start - 1; t <= w.end; ++t) {
+    sig.clear();
+    sig.push_back(t / kRoundSeconds);
+    sig.push_back(observer_dark_at(plan, observer, t) ? 1 : 0);
+    for (std::size_t i = 0; i < plan.bursts.size(); ++i) {
+      const auto& b = plan.bursts[i];
+      if (b.observer != kAllObservers && b.observer != observer) continue;
+      sig.push_back(burst_active(plan.seed, i, b, t) ? 1 : 0);
+      sig.push_back(b.mean_interval > 0 ? t / b.mean_interval : 0);
+    }
+    for (const auto& tr : plan.truncations) {
+      sig.push_back(in_window(t, tr.start, tr.end) ? 1 : 0);
+    }
+    if (!prev.empty() && sig != prev) edges.push_back(t - w.start);
+    std::swap(prev, sig);
+  }
+  return edges;
+}
+
+// A random plan mixing every fault kind: the three outage kinds,
+// truncations, skews and multi-spec bursts, each for `observer`, for
+// another observer or for all of them.
+FaultPlan random_plan(std::mt19937_64& rng, char observer, ProbeWindow w) {
+  const SimTime span = w.end - w.start;
+  const auto who = [&] {
+    const auto k = rng() % 3;
+    return k == 0 ? 'j' : (k == 1 ? observer : kAllObservers);
+  };
+  const auto sub_window = [&](SimTime& start, SimTime& end) {
+    const auto n = static_cast<std::uint64_t>(span);
+    start = w.start + static_cast<SimTime>(rng() % n);
+    end = start + 1 + static_cast<SimTime>(rng() % n);
+  };
+  FaultPlan plan;
+  plan.seed = rng();
+  for (auto n = rng() % 3; n > 0; --n) {
+    OutageSpec o;
+    o.observer = who();
+    o.kind = static_cast<OutageKind>(rng() % 3);
+    sub_window(o.start, o.end);
+    o.flap_period = 600 + static_cast<SimTime>(rng() % (4 * kSecondsPerHour));
+    o.flap_down_fraction = static_cast<double>(rng() % 100) / 100.0;
+    o.reboot_interval =
+        kSecondsPerHour + static_cast<SimTime>(rng() % kSecondsPerDay);
+    o.reboot_duration =
+        1 + static_cast<SimTime>(rng() % static_cast<std::uint64_t>(
+                                             o.reboot_interval));
+    plan.outages.push_back(o);
+  }
+  for (auto n = rng() % 3; n > 0; --n) {
+    TruncationSpec tr;
+    tr.observer = who();
+    tr.prob = 0.1 + 0.9 * static_cast<double>(rng() % 1000) / 1000.0;
+    if (rng() % 2 == 0) sub_window(tr.start, tr.end);
+    plan.truncations.push_back(tr);
+  }
+  for (auto n = rng() % 3; n > 0; --n) {
+    ClockSkewSpec sk;
+    sk.observer = who();
+    sk.skew_seconds = static_cast<std::int64_t>(rng() % 601) - 300;
+    sk.drift_ppm = static_cast<double>(rng() % 1001) - 500.0;
+    plan.skews.push_back(sk);
+  }
+  for (auto n = rng() % 4; n > 0; --n) {
+    BurstLossSpec b;
+    b.observer = who();
+    b.rate = 0.3 + 0.7 * static_cast<double>(rng() % 1000) / 1000.0;
+    b.mean_interval =
+        kSecondsPerHour + static_cast<SimTime>(rng() % (9 * kSecondsPerHour));
+    b.mean_duration = rng() % 4 == 0
+                          ? b.mean_interval + 1 +
+                                static_cast<SimTime>(rng() % b.mean_interval)
+                          : 60 + static_cast<SimTime>(rng() % b.mean_interval);
+    if (rng() % 2 == 0) sub_window(b.start, b.end);
+    plan.bursts.push_back(b);
+  }
+  return plan;
+}
+
+// The staged injector against the per-observation reference: on every
+// named scenario for every observer and on seeded random mixes of all
+// fault kinds, over streams with repeated timestamps, whole and in
+// chunks cut on every round, outage, burst and window edge and one
+// second either side.  The kept stream, every fate and all four stats
+// must agree.
+TEST(Inject, StagedMatchesPerObservationReference) {
+  std::mt19937_64 rng(0x57A6ED);
+  const SimTime span = 2 * kSecondsPerDay;
+  struct Case {
+    std::string name;
+    FaultPlan plan;
+    char observer;
+    ProbeWindow w;
+  };
+  std::vector<Case> cases;
+  const auto random_window = [&](int k) {
+    // Off every grid; every fourth window starts before time zero.
+    SimTime start =
+        20 * kSecondsPerDay + 1 + static_cast<SimTime>(rng() % 7777);
+    if (k % 4 == 3) {
+      start = -kSecondsPerDay - static_cast<SimTime>(rng() % 7777);
+    }
+    return ProbeWindow{start, start + span};
+  };
+  int k = 0;
+  for (const auto& name : scenario_names()) {
+    for (const char observer : {'e', 'j', 'n', 'w', 'x'}) {
+      const ProbeWindow w = random_window(k++);
+      cases.push_back({name, scenario(name, w), observer, w});
+    }
+  }
+  for (int trial = 0; trial < 40; ++trial) {
+    const ProbeWindow w = random_window(k++);
+    cases.push_back({"random " + std::to_string(trial),
+                     random_plan(rng, 'n', w), 'n', w});
+  }
+
+  std::size_t fates_seen[3] = {0, 0, 0};
+  std::size_t corrupted_then_dropped = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name + " observer " + std::string(1, c.observer));
+    const auto edges = fault_edges(c.plan, c.observer, c.w);
+
+    // Dense random times (repeats included) plus one observation on and
+    // either side of every edge; addresses cycle so that nearby
+    // observations never share one.
+    std::vector<std::uint32_t> rels;
+    for (SimTime rel = 0; rel < span; rel += static_cast<SimTime>(rng() % 90)) {
+      rels.push_back(static_cast<std::uint32_t>(rel));
+    }
+    for (const SimTime e : edges) {
+      for (SimTime d = -1; d <= 1; ++d) {
+        if (e + d >= 0 && e + d < span) {
+          rels.push_back(static_cast<std::uint32_t>(e + d));
+        }
+      }
+    }
+    std::sort(rels.begin(), rels.end());
+    ObservationVec stream;
+    for (std::size_t i = 0; i < rels.size(); ++i) {
+      stream.push_back(Observation{rels[i], static_cast<std::uint8_t>(i % 16),
+                                   rng() % 10 < 7});
+    }
+    const SkewResolution skew = resolve_skew(c.plan, c.observer);
+
+    // Whole stream, then chunks cut around every edge.
+    std::vector<std::size_t> cuts;
+    for (const SimTime e : edges) {
+      for (SimTime d = -1; d <= 1; ++d) {
+        const auto at = std::lower_bound(rels.begin(), rels.end(), e + d);
+        cuts.push_back(static_cast<std::size_t>(at - rels.begin()));
+      }
+    }
+    cuts.push_back(stream.size());
+    std::sort(cuts.begin(), cuts.end());
+    const std::vector<std::size_t> whole{stream.size()};
+    for (const bool chunked : {false, true}) {
+      SCOPED_TRACE(chunked ? "chunked" : "whole");
+      ObservationVec want;
+      ObservationVec got;
+      std::vector<Fate> want_fates;
+      std::vector<Fate> got_fates;
+      StreamFaultStats want_st;
+      StreamFaultStats got_st;
+      FaultCarry want_carry;
+      FaultCarry got_carry;
+      std::size_t taken = 0;
+      for (const std::size_t cut : chunked ? cuts : whole) {
+        const auto first = stream.begin() + static_cast<std::ptrdiff_t>(taken);
+        const auto last = stream.begin() + static_cast<std::ptrdiff_t>(cut);
+        taken = cut;
+        const ObservationVec chunk(first, last);
+        const std::size_t want_from = want.size();
+        want.insert(want.end(), first, last);
+        add_stats(want_st,
+                  reference_apply_chunk(c.plan, c.observer, c.w, want,
+                                        want_from, want_carry, &want_fates));
+        const std::size_t got_from = got.size();
+        got.insert(got.end(), first, last);
+        add_stats(got_st, apply_faults_chunk(c.plan, c.observer, c.w, got,
+                                             got_from, got_carry));
+        append_fates(chunk, got, got_from, skew, got_fates);
+      }
+      ASSERT_EQ(got_fates.size(), want_fates.size());
+      for (std::size_t i = 0; i < want_fates.size(); ++i) {
+        ASSERT_EQ(got_fates[i], want_fates[i]) << "observation " << i;
+      }
+      expect_same_injection(got, got_st, want, want_st, 0);
+      if (!chunked) {
+        for (const Fate f : want_fates) ++fates_seen[static_cast<int>(f)];
+        const std::size_t flips = static_cast<std::size_t>(
+            std::count(want_fates.begin(), want_fates.end(), Fate::kCorrupted));
+        corrupted_then_dropped += want_st.corrupted - flips;
+      }
+    }
+  }
+  // Non-vacuous: every fate occurs, and so does a corrupted observation
+  // that retiming then drops.
+  EXPECT_GT(fates_seen[0], 0u);
+  EXPECT_GT(fates_seen[1], 0u);
+  EXPECT_GT(fates_seen[2], 0u);
+  EXPECT_GT(corrupted_then_dropped, 0u);
 }
 
 TEST(Inject, TruncationKeepsFirstProbeOfRound) {

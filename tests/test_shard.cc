@@ -260,6 +260,55 @@ TEST(ShardScheduler, ResidencyStaysWithinMaxResident) {
   EXPECT_LE(sharded.stats.workers, sc.max_resident);
 }
 
+// The paper's split windows under burst faults — the fused
+// classify-then-detect pass with its classification fork and the
+// staged fault injector — must be invisible to sharding: the sharded
+// drive, with per-shard checkpoints and after a resume, equals the
+// batch drive and the unfused two-pass drive.
+TEST(ShardScheduler, SplitWindowBurstsMatchesBatch) {
+  const auto wc = small_world_config();
+  auto fc = fleet_config(1);
+  fc.classify_dataset = core::dataset("2020w1-ejnw");
+  fc.faults = fault::scenario("bursts", fc.dataset.window());
+  fc.fuse_observation_windows = false;
+  const auto two_pass = reference_run(wc, fc);
+  fc.fuse_observation_windows = true;
+  const auto ref = reference_run(wc, fc);
+  ASSERT_EQ(core::digest_hex(ref.digest), core::digest_hex(two_pass.digest));
+  ASSERT_GT(ref.fleet.funnel.change_sensitive, 0);
+
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("diurnal_shard_split_" + std::to_string(::getpid()));
+  for (const int threads : {1, 3}) {
+    fc.threads = threads;
+    for (const std::size_t shard_size : {std::size_t{7}, std::size_t{64}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " shard_size " +
+                   std::to_string(shard_size));
+      std::filesystem::remove_all(dir);
+      core::ShardConfig sc;
+      sc.shard_size = shard_size;
+      sc.max_resident = 2;
+      sc.checkpoint_dir = dir.string();
+      const auto sharded = core::run_sharded_fleet(wc, fc, sc);
+      EXPECT_EQ(core::digest_hex(core::fleet_digest(sharded.fleet)),
+                core::digest_hex(ref.digest));
+      expect_same_aggregate(ref.aggregate, sharded.aggregate);
+
+      // Stop after two shards, then resume from their checkpoints.
+      std::filesystem::remove_all(dir);
+      sc.max_shards = 2;
+      core::run_sharded_fleet(wc, fc, sc);
+      sc.max_shards = 0;
+      sc.resume = true;
+      const auto resumed = core::run_sharded_fleet(wc, fc, sc);
+      EXPECT_EQ(resumed.stats.resumed_shards, 2u);
+      EXPECT_EQ(core::digest_hex(core::fleet_digest(resumed.fleet)),
+                core::digest_hex(ref.digest));
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // A worker whose checkpoint write fails must surface the error on the
 // caller instead of ending the process in std::terminate: a directory
 // squatting on shard 0's checkpoint path makes the rename into place

@@ -385,16 +385,54 @@ TEST(BlockStreamTest, EpochAdvanceMatchesBatchOracle) {
   }
 }
 
+// Saves `stream` and restores the image into a fresh stream begun with
+// the same arguments.
+void save_restore(const recon::BlockStream& stream, recon::BlockStream& into,
+                  const sim::BlockProfile& block,
+                  const recon::BlockObservationConfig& oc,
+                  probe::ProbeScratch& scratch, util::SimTime classify_end) {
+  util::StateWriter w;
+  w.begin_section(util::state_tag("STRM"));
+  stream.save(w);
+  w.end_section();
+  into.begin(block, oc, scratch, classify_end);
+  util::StateReader r(w.bytes());
+  r.begin_section(util::state_tag("STRM"));
+  into.restore(r);
+  r.end_section();
+}
+
+// A classification end one second into a multi-probe round of the
+// first observer at or after `after`: that round straddles it, so the
+// merge can release observations past it before finalize_classify().
+util::SimTime straddling_end(const sim::BlockProfile& block,
+                             const recon::BlockObservationConfig& oc,
+                             util::SimTime after) {
+  ObservationVec obs;
+  probe::ProbeScratch scratch;
+  probe::probe_block_into(block, oc.observers[0], oc.loss, oc.window,
+                          oc.prober, scratch, obs);
+  for (std::size_t i = 0; i + 1 < obs.size(); ++i) {
+    const util::SimTime t = oc.window.start + obs[i].rel_time;
+    if (t >= after && obs[i + 1].rel_time == obs[i].rel_time + 2) return t + 1;
+  }
+  throw std::runtime_error("no multi-probe round");
+}
+
 // The fork under every fault plan the union mode admits (skew is
-// excluded), on two drive schedules: daily cuts with one landing on the
+// excluded), with the classification end on and off the hourly sample
+// grid and inside a straddling round, on two drive schedules: daily cuts with one landing on the
 // classification boundary, and the batch drive's single
 // advance_to(classify_end) before finalizing, where the merge pops
-// week- and month-long buffers and pushes each run to both
-// reconstructions.
+// week- and month-long buffers.  Each schedule is also saved and
+// restored at two cuts: a day before the classification end, before
+// any observation past it (the image of a stream that has not forked),
+// and at the classification end, with the tail still pending (forked
+// when the straddling round's observations were released).
 TEST(BlockStreamTest, UnionForkMatchesDedicatedClassifyPass) {
   const auto detect_ds = core::dataset("2020m1-ejnw");
   const ProbeWindow dw = detect_ds.window();
-  const util::SimTime classify_end = dw.start + 7 * util::kSecondsPerDay;
+  const util::SimTime week_end = dw.start + 7 * util::kSecondsPerDay;
 
   for (const char* name : {"none", "bursts", "dropout", "truncate"}) {
     const auto plan = fault::scenario(name, dw);
@@ -402,39 +440,129 @@ TEST(BlockStreamTest, UnionForkMatchesDedicatedClassifyPass) {
     detect_oc.observers = detect_ds.observers();
     detect_oc.window = dw;
     detect_oc.faults = &plan;
-    recon::BlockObservationConfig classify_oc = detect_oc;
-    classify_oc.window = ProbeWindow{dw.start, classify_end};
 
     for (std::size_t b = 0; b < 4; ++b) {
-      SCOPED_TRACE("block " + std::to_string(b));
       const auto& block = responsive_block(b);
-      const auto want_classify = batch_oracle(block, classify_oc);
       const auto want_detect = batch_oracle(block, detect_oc);
+      for (const util::SimTime classify_end :
+           {week_end, week_end + 1800,
+            straddling_end(block, detect_oc, week_end)}) {
+        recon::BlockObservationConfig classify_oc = detect_oc;
+        classify_oc.window = ProbeWindow{dw.start, classify_end};
+        const auto want_classify = batch_oracle(block, classify_oc);
 
-      for (const bool daily : {true, false}) {
-        SCOPED_TRACE(std::string(name) + (daily ? " daily" : " batch"));
-        probe::ProbeScratch scratch;
-        recon::BlockStream stream;
-        stream.begin(block, detect_oc, scratch, classify_end);
-        if (daily) {
-          for (util::SimTime t = dw.start; t < classify_end;
-               t += util::kSecondsPerDay) {
-            stream.advance_to(t);
+        for (const bool daily : {true, false}) {
+          // Cut 0 runs uninterrupted.
+          for (const util::SimTime cut :
+               {util::SimTime{0}, classify_end - util::kSecondsPerDay,
+                classify_end}) {
+            SCOPED_TRACE(std::string(name) + " block " + std::to_string(b) +
+                         " classify_end +" +
+                         std::to_string(classify_end - dw.start) +
+                         (daily ? " daily" : " batch") + " cut +" +
+                         std::to_string(cut == 0 ? 0 : cut - dw.start));
+            probe::ProbeScratch scratch;
+            recon::BlockStream first;
+            recon::BlockStream second;
+            first.begin(block, detect_oc, scratch, classify_end);
+            recon::BlockStream* stream = &first;
+            if (daily) {
+              for (util::SimTime t = dw.start; t < classify_end;
+                   t += util::kSecondsPerDay) {
+                if (cut != 0 && t >= cut) break;
+                stream->advance_to(t);
+              }
+            }
+            if (cut != 0) {
+              first.advance_to(cut);
+              save_restore(first, second, block, detect_oc, scratch,
+                           classify_end);
+              stream = &second;
+              if (daily) {
+                for (util::SimTime t = cut; t < classify_end;
+                     t += util::kSecondsPerDay) {
+                  stream->advance_to(t);
+                }
+              }
+            }
+            stream->advance_to(classify_end);
+            recon::DegradedReconResult got_classify;
+            stream->finalize_classify(got_classify);
+            expect_recon_equal(got_classify.recon, want_classify.recon);
+            expect_observers_equal(got_classify.observers,
+                                   want_classify.observers);
+
+            // The detection stream continues from the fork untouched.
+            recon::DegradedReconResult got_detect;
+            stream->finalize(got_detect);
+            expect_recon_equal(got_detect.recon, want_detect.recon);
+            expect_observers_equal(got_detect.observers,
+                                   want_detect.observers);
           }
         }
-        stream.advance_to(classify_end);
-        recon::DegradedReconResult got_classify;
-        stream.finalize_classify(got_classify);
-        expect_recon_equal(got_classify.recon, want_classify.recon);
-        expect_observers_equal(got_classify.observers, want_classify.observers);
-
-        // The detection stream continues from the fork untouched.
-        recon::DegradedReconResult got_detect;
-        stream.finalize(got_detect);
-        expect_recon_equal(got_detect.recon, want_detect.recon);
-        expect_observers_equal(got_detect.observers, want_detect.observers);
       }
     }
+  }
+}
+
+// Forking is exact: a classification-window machine forked from the
+// detection-window machine equals one fed the same pushes itself, and
+// the unforked image save_fork() writes equals the forked machine's
+// save(), with the classification end on and off the sample grid.
+TEST(BlockStreamTest, ReconForkEqualsDedicatedMachine) {
+  const auto ds = core::dataset("2020m1-ejnw");
+  recon::BlockObservationConfig oc;
+  oc.observers = ds.observers();
+  oc.window = ds.window();
+  const auto& block = responsive_block();
+  const auto merged = [&] {
+    std::vector<ObservationVec> streams(oc.observers.size());
+    probe::ProbeScratch scratch;
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      probe::probe_block_into(block, oc.observers[i], oc.loss, oc.window,
+                              oc.prober, scratch, streams[i]);
+    }
+    return probe::merge_observations(std::move(streams));
+  }();
+  const auto image = [](const recon::BlockReconState& s) {
+    util::StateWriter w;
+    w.begin_section(util::state_tag("RECN"));
+    s.save(w);
+    w.end_section();
+    return w.take();
+  };
+  for (const std::int64_t classify_rel :
+       {std::int64_t{7} * util::kSecondsPerDay,
+        std::int64_t{7} * util::kSecondsPerDay + 1800,
+        std::int64_t{7} * util::kSecondsPerDay + 1}) {
+    SCOPED_TRACE(classify_rel);
+    const ProbeWindow cw{oc.window.start, oc.window.start + classify_rel};
+    recon::BlockReconState detect;
+    recon::BlockReconState dedicated;
+    recon::BlockReconState forked;
+    detect.begin(block.eb_count, oc.window, oc.recon);
+    dedicated.begin(block.eb_count, cw, oc.recon);
+    forked.begin(block.eb_count, cw, oc.recon);
+    std::size_t pushed = 0;
+    for (const auto& o : merged) {
+      if (o.rel_time > classify_rel) break;
+      detect.push(o);
+      dedicated.push(o);
+      ++pushed;
+    }
+    ASSERT_GT(pushed, 0u);
+    util::StateWriter unforked;
+    unforked.begin_section(util::state_tag("RECN"));
+    detect.save_fork(unforked, forked);
+    unforked.end_section();
+    forked.fork_from(detect);
+    EXPECT_EQ(image(forked), image(dedicated));
+    EXPECT_EQ(unforked.bytes(), image(dedicated));
+    recon::ReconResult got;
+    recon::ReconResult want;
+    forked.finalize(got);
+    dedicated.finalize(want);
+    expect_recon_equal(got, want);
   }
 }
 
@@ -476,34 +604,42 @@ TEST(StreamingFleetTest, EpochDriveMatchesBatch) {
   }
 }
 
+// The fused single pass and the incremental epoch drive against two
+// dedicated passes, healthy and under the fault plans the union mode
+// admits, at one and three threads.
 TEST(StreamingFleetTest, FusedUnionWindowMatchesTwoPass) {
-  core::FleetConfig fc;
-  fc.dataset = core::dataset("2020q1-ejnw");
-  fc.classify_dataset = core::dataset("2020m1-ejnw");
-  fc.threads = 2;
+  for (const char* name : {"none", "bursts", "dropout", "truncate"}) {
+    core::FleetConfig fc;
+    fc.dataset = core::dataset("2020q1-ejnw");
+    fc.classify_dataset = core::dataset("2020m1-ejnw");
+    fc.faults = fault::scenario(name, fc.dataset.window());
+    fc.threads = 1;
+    fc.fuse_observation_windows = false;
+    const auto want = core::fleet_digest(core::run_fleet(fleet_world(), fc));
 
-  fc.fuse_observation_windows = false;
-  const auto two_pass = core::run_fleet(fleet_world(), fc);
-  fc.fuse_observation_windows = true;
-  const auto fused = core::run_fleet(fleet_world(), fc);
-  EXPECT_EQ(core::fleet_digest(fused), core::fleet_digest(two_pass));
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE(std::string(name) + " threads " + std::to_string(threads));
+      fc.threads = threads;
+      fc.fuse_observation_windows = true;
+      EXPECT_EQ(core::fleet_digest(core::run_fleet(fleet_world(), fc)), want);
 
-  // The incremental drive crosses the classification boundary mid-run
-  // and must land on the same digest again.
-  core::StreamingFleet fleet(fleet_world(), fc);
-  bool complete_seen = false;
-  for (util::SimTime t = fleet.window_start(); t <= fleet.window_end();
-       t += 3 * util::kSecondsPerDay) {
-    const auto rep = fleet.advance_to(t);
-    if (rep.classification_complete && !complete_seen) {
-      complete_seen = true;
-      EXPECT_EQ(rep.funnel.routed,
-                static_cast<std::int64_t>(fleet_world().blocks().size()));
+      // The incremental drive crosses the classification boundary
+      // mid-run and must land on the same digest again.
+      core::StreamingFleet fleet(fleet_world(), fc);
+      bool complete_seen = false;
+      for (util::SimTime t = fleet.window_start(); t <= fleet.window_end();
+           t += 3 * util::kSecondsPerDay) {
+        const auto rep = fleet.advance_to(t);
+        if (rep.classification_complete && !complete_seen) {
+          complete_seen = true;
+          EXPECT_EQ(rep.funnel.routed,
+                    static_cast<std::int64_t>(fleet_world().blocks().size()));
+        }
+      }
+      EXPECT_TRUE(complete_seen);
+      EXPECT_EQ(core::fleet_digest(fleet.finalize()), want);
     }
   }
-  EXPECT_TRUE(complete_seen);
-  const auto streamed = fleet.finalize();
-  EXPECT_EQ(core::fleet_digest(streamed), core::fleet_digest(two_pass));
 }
 
 // The split-mode ingest rule: on the epoch that crosses the
