@@ -176,8 +176,8 @@ struct ServeStats {
 
 class SnapshotServer {
  public:
-  /// Borrows `blocks` and `config` for the server's lifetime (the same
-  /// contract as StreamingFleet).
+  /// Borrows `blocks` for the server's lifetime; `config` is copied
+  /// (the same contract as StreamingFleet).
   SnapshotServer(std::span<const sim::BlockProfile> blocks,
                  const FleetConfig& config, const ServeConfig& serve = {});
   SnapshotServer(const sim::World& world, const FleetConfig& config,
@@ -244,7 +244,7 @@ class SnapshotServer {
   void fill_rollups(EpochSnapshot& snap);
 
   std::span<const sim::BlockProfile> blocks_;
-  const FleetConfig& config_;
+  const FleetConfig config_;
   ServeConfig serve_;
   StreamingFleet engine_;
   std::shared_ptr<const std::unordered_map<std::uint32_t, std::size_t>>

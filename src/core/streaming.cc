@@ -142,8 +142,10 @@ StreamingFleet::StreamingFleet(std::span<const sim::BlockProfile> blocks,
                       : (config.fuse_observation_windows && nested
                              ? Mode::kUnion
                              : Mode::kSeparate);
-  classify_oc_ = block_observation_config(config, classify_ds);
-  detect_oc_ = block_observation_config(config, config.dataset);
+  // The observation configs keep a pointer to the fault plan, so they
+  // are built from the engine's own copy of the config.
+  classify_oc_ = block_observation_config(config_, classify_ds);
+  detect_oc_ = block_observation_config(config_, config_.dataset);
   evidence_floor_ = config.classifier.min_evidence_fraction;
   threads_ = resolve_threads(config.threads);
   fork_end_ = mode_ == Mode::kUnion ? classify_window_.end : 0;

@@ -102,7 +102,7 @@ class StreamingFleet {
     BlockClassification cls{};
     fault::BlockDegradation degradation{};
   };
-  /// Borrows `world` and `config` for the engine's lifetime.
+  /// Borrows `world` for the engine's lifetime; `config` is copied.
   StreamingFleet(const sim::World& world, const FleetConfig& config)
       : StreamingFleet(std::span<const sim::BlockProfile>(world.blocks()),
                        config) {}
@@ -112,6 +112,8 @@ class StreamingFleet {
   /// with `blocks`; the storage must outlive the engine.
   StreamingFleet(std::span<const sim::BlockProfile> blocks,
                  const FleetConfig& config);
+  StreamingFleet(const StreamingFleet&) = delete;
+  StreamingFleet& operator=(const StreamingFleet&) = delete;
 
   util::SimTime window_start() const noexcept { return window_.start; }
   util::SimTime window_end() const noexcept { return window_.end; }
@@ -217,7 +219,9 @@ class StreamingFleet {
   void finish_result();
 
   std::span<const sim::BlockProfile> blocks_;
-  const FleetConfig& config_;
+  /// The engine's own copy: classify_oc_/detect_oc_ point into its
+  /// fault plan, so the engine is neither copyable nor movable.
+  const FleetConfig config_;
   Mode mode_ = Mode::kSame;
   probe::ProbeWindow window_{};           ///< detection window
   probe::ProbeWindow classify_window_{};  ///< classification window

@@ -536,50 +536,133 @@ ObservationVec probe_block(const sim::BlockProfile& block,
   return out;
 }
 
+std::size_t merge_runs(MergeHead* heads, std::size_t& k, Observation* out,
+                       std::size_t cap) {
+  Observation* const begin = out;
+  Observation* const stop = out + cap;
+  if (k > 1 && cap > 0) {
+    // The heads in merge order, as a ring keyed by (head time, stream
+    // index).  Observers probe in rounds at fixed phase offsets, so the
+    // leader's next head usually orders after every other head: popping
+    // the front and appending the leader at the back is then one
+    // comparison, where a scan for the leader costs k.
+    struct Entry {
+      std::uint64_t key;  ///< head rel_time << 32 | stream index
+      const Observation* it;
+      const Observation* end;
+    };
+    Entry stack_ring[16];
+    std::vector<Entry> heap_ring;
+    Entry* ring = stack_ring;
+    if (k > std::size(stack_ring)) {
+      heap_ring.resize(k);
+      ring = heap_ring.data();
+    }
+    const auto key = [](const Observation* it, std::uint64_t index) {
+      return std::uint64_t{it->rel_time} << 32 | index;
+    };
+    for (std::size_t i = 0; i < k; ++i) {
+      ring[i] = Entry{key(heads[i].it, i), heads[i].it, heads[i].end};
+    }
+    std::sort(ring, ring + k,
+              [](const Entry& a, const Entry& b) { return a.key < b.key; });
+    const std::size_t slots = k;
+    std::size_t front = 0;
+    std::size_t m = k;  // live entries: ring[front], ring[front + 1], ...
+    const auto at = [&](std::size_t r) -> Entry& {
+      const std::size_t j = front + r;
+      return ring[j < slots ? j : j - slots];
+    };
+    while (m > 1 && out != stop) {
+      Entry e = ring[front];
+      const std::uint64_t next = at(1).key;
+      const std::uint64_t index = e.key & 0xffffffffU;
+      // The leader's run: everything ordering before the runner-up.
+      const Observation* run_stop = e.end;
+      if (run_stop - e.it > stop - out) run_stop = e.it + (stop - out);
+      do {
+        *out++ = *e.it++;
+      } while (e.it != run_stop && key(e.it, index) < next);
+      front = front + 1 < slots ? front + 1 : 0;
+      --m;
+      if (e.it == e.end) continue;
+      e.key = key(e.it, index);
+      // Insert from the back; the common case stops at once.
+      std::size_t r = m;
+      while (r > 0 && at(r - 1).key > e.key) {
+        at(r) = at(r - 1);
+        --r;
+      }
+      at(r) = e;
+      ++m;
+    }
+    // Hand the live heads back in stream order.
+    std::rotate(ring, ring + front, ring + slots);
+    std::sort(ring, ring + m, [](const Entry& a, const Entry& b) {
+      return (a.key & 0xffffffffU) < (b.key & 0xffffffffU);
+    });
+    for (std::size_t i = 0; i < m; ++i) {
+      heads[i] = MergeHead{ring[i].it, ring[i].end};
+    }
+    k = m;
+  }
+  if (k == 1 && out != stop) {
+    MergeHead& h = heads[0];
+    const std::size_t n = std::min<std::size_t>(
+        static_cast<std::size_t>(h.end - h.it),
+        static_cast<std::size_t>(stop - out));
+    out = std::copy_n(h.it, n, out);
+    h.it += n;
+    if (h.it == h.end) k = 0;
+  }
+  return static_cast<std::size_t>(out - begin);
+}
+
+void merge_cut(std::span<MergeSource> sources, std::vector<MergeHead>& heads) {
+  const std::size_t n = sources.size();
+  std::int64_t cut = kExhausted;
+  std::size_t cut_source = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const MergeSource& s = sources[i];
+    const std::int64_t key =
+        s.released != s.end ? s.released->rel_time : s.watermark;
+    if (key < cut) {
+      cut = key;
+      cut_source = i;
+    }
+  }
+  heads.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    MergeSource& s = sources[i];
+    if (cut_source != n) {
+      const std::int64_t bound = i <= cut_source ? cut : cut - 1;
+      s.released = std::partition_point(
+          s.head, s.released, [bound](const Observation& o) {
+            return static_cast<std::int64_t>(o.rel_time) <= bound;
+          });
+    }
+    if (s.head != s.released) heads.push_back(MergeHead{s.head, s.released});
+  }
+}
+
 void merge_observations_into(const std::vector<ObservationVec>& streams,
                              ObservationVec& out) {
-  out.clear();
-  // K-way merge with a linear min-scan: stream counts are tiny (one per
-  // observer), so scanning the heads beats both a heap and the previous
-  // pairwise-merge reduction, and it needs no intermediate vectors.
-  struct Head {
-    const Observation* it;
-    const Observation* end;
-  };
-  Head stack_heads[16];
-  std::vector<Head> heap_heads;
-  Head* heads = stack_heads;
+  MergeHead stack_heads[16];
+  std::vector<MergeHead> heap_heads;
+  MergeHead* heads = stack_heads;
   if (streams.size() > std::size(stack_heads)) {
     heap_heads.resize(streams.size());
     heads = heap_heads.data();
   }
-
   std::size_t k = 0;
   std::size_t total = 0;
   for (const auto& s : streams) {
     if (s.empty()) continue;
-    // Heads stay in stream order so a tie picks the lowest stream index.
-    heads[k++] = Head{s.data(), s.data() + s.size()};
+    heads[k++] = MergeHead{s.data(), s.data() + s.size()};
     total += s.size();
   }
-  out.reserve(total);
-
-  while (k > 1) {
-    std::size_t best = 0;
-    std::uint32_t best_time = heads[0].it->rel_time;
-    for (std::size_t i = 1; i < k; ++i) {
-      if (heads[i].it->rel_time < best_time) {
-        best = i;
-        best_time = heads[i].it->rel_time;
-      }
-    }
-    out.push_back(*heads[best].it);
-    if (++heads[best].it == heads[best].end) {
-      for (std::size_t i = best; i + 1 < k; ++i) heads[i] = heads[i + 1];
-      --k;
-    }
-  }
-  if (k == 1) out.insert(out.end(), heads[0].it, heads[0].end);
+  out.resize(total);
+  merge_runs(heads, k, out.data(), total);
 }
 
 ObservationVec merge_observations(std::vector<ObservationVec> streams) {

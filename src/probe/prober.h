@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "probe/loss_model.h"
@@ -64,6 +66,30 @@ struct ProberConfig {
   double fault_flip_prob = 0.35;
 };
 
+/// One source stream's pending range for merge_runs(): [it, end),
+/// non-decreasing in rel_time.
+struct MergeHead {
+  const Observation* it;
+  const Observation* end;
+};
+
+/// One source stream at a streaming merge cut: [head, released) may be
+/// merged, [released, end) is buffered but held back (its timestamps are
+/// final), and anything the source has yet to produce orders at or after
+/// `watermark` (kExhausted when it will produce nothing more).
+struct MergeSource {
+  const Observation* head;
+  const Observation* released;
+  const Observation* end;
+  std::int64_t watermark;
+};
+inline constexpr std::int64_t kExhausted =
+    std::numeric_limits<std::int64_t>::max();
+
+/// Capacity of ProbeScratch::merge_chunk: 4096 observations (32 KB), so
+/// a chunk stays in L1 between the merge and the reconstruction.
+inline constexpr std::size_t kMergeChunk = 4096;
+
 /// Reusable per-thread buffers for the probe -> merge hot path.  A
 /// fleet run probes hundreds of thousands of (block, observer) pairs;
 /// reusing one scratch per worker removes every per-pair allocation.
@@ -96,6 +122,14 @@ struct ProbeScratch {
   std::vector<ObservationVec> streams;
   /// Merge output buffer (merge_observations_into).
   ObservationVec merged;
+  /// Bounded merge output for the streaming pipeline (recon::BlockStream
+  /// merges into it, then reconstructs each full chunk).  A worker-owned
+  /// buffer, not a per-stream one: the incremental drive keeps one
+  /// stream per block.
+  ObservationVec merge_chunk = ObservationVec(kMergeChunk);
+  /// That merge's sources and their eligible ranges (merge_cut).
+  std::vector<MergeSource> merge_sources;
+  std::vector<MergeHead> merge_heads;
 
   /// Per-thread fallback instance used by the convenience wrappers.
   static ProbeScratch& local();
@@ -148,6 +182,28 @@ void probe_block_into(const sim::BlockProfile& block,
 ObservationVec probe_block(const sim::BlockProfile& block,
                            const ObserverSpec& observer, const LossModel& loss,
                            ProbeWindow window, const ProberConfig& config = {});
+
+/// The run merge behind every k-way merge of observation streams.
+/// Merges heads[0, k) -- non-empty, in source-stream order -- in the
+/// total order (rel_time, stream index), writing at most `cap`
+/// observations to `out`; returns how many it wrote.  Each head is
+/// advanced past what it wrote and exhausted heads are dropped
+/// (shrinking `k`), so calling again continues the merge.  The leading
+/// stream pops a run at a time: everything ordering before the
+/// runner-up's head, with equal times going to the lower stream index.
+std::size_t merge_runs(MergeHead* heads, std::size_t& k, Observation* out,
+                       std::size_t cap);
+
+/// The streaming merge cut: releases, in the total order (rel_time,
+/// source index), every observation no source can still produce one
+/// ordering before.  The blocking key K is the least (time, index) of
+/// any source's first held observation, else its watermark.  A source
+/// at or below K's index may release up to K's time inclusive, one above
+/// it only strictly before (ties go to the lower index).  Narrows each
+/// source's `released` to that eligible prefix and replaces `heads` with
+/// the non-empty [head, released) ranges, in source order, for
+/// merge_runs().
+void merge_cut(std::span<MergeSource> sources, std::vector<MergeHead>& heads);
 
 /// K-way-merges per-observer streams into `out` (replaced, not appended).
 /// Total order: (rel_time, source-stream index) — ties keep the probe

@@ -56,6 +56,87 @@ void BlockReconState::begin(int eb_count, probe::ProbeWindow window,
   observations_ = 0;
 }
 
+void BlockReconState::push_span(const probe::Observation* first,
+                                const probe::Observation* last) {
+  if (degenerate_ || first == last) return;
+  // The machine's scalar fields live in locals for the span: a store
+  // into state_ (a char type) may alias any member, so the compiler
+  // would otherwise reload and store every field around each
+  // observation.
+  constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+  double* const dst = bound_.empty() ? samples_.data() : bound_.data();
+  const std::int64_t step = opt_.sample_step;
+  const std::int64_t horizon = opt_.stale_horizon;
+  const std::size_t n_samples = n_samples_;
+  const auto eb = static_cast<std::size_t>(eb_count_);
+  std::size_t next_sample = next_sample_;
+  // A push at rel emits every sample k with k * step < rel, so emission
+  // runs only when an observation passes the next sample's time.
+  std::int64_t next_emit =
+      next_sample < n_samples ? static_cast<std::int64_t>(next_sample) * step
+                              : kNever;
+  std::int64_t last_rel = last_obs_rel_;
+  std::size_t fresh = fresh_samples_;
+  double max_active = max_active_;
+  // The longest gap stays an integer and is folded into the double once:
+  // int -> double conversion is monotone, so this is exact.
+  std::int64_t max_gap = std::numeric_limits<std::int64_t>::min();
+  int active = active_;
+  int observed = observed_;
+  std::size_t positives = positives_;
+  std::uint32_t pass = pass_;
+  int pass_seen = pass_seen_;
+  for (const probe::Observation* o = first; o != last; ++o) {
+    const std::int64_t rel = o->rel_time;
+    while (rel > next_emit) {
+      dst[next_sample] = static_cast<double>(active);
+      max_active = std::max(max_active, dst[next_sample]);
+      fresh += static_cast<std::size_t>(
+          static_cast<std::int64_t>(next_sample) * step - last_rel <= horizon);
+      ++next_sample;
+      next_emit = next_sample < n_samples
+                      ? static_cast<std::int64_t>(next_sample) * step
+                      : kNever;
+    }
+    const std::int64_t from = std::max<std::int64_t>(last_rel, 0);
+    if (rel - from > horizon) {
+      gaps_.push_back(CoverageGap{window_.start + from, window_.start + rel});
+    }
+    max_gap = std::max(max_gap, rel - from);
+    last_rel = rel;
+    const std::size_t a = o->addr;
+    if (a >= eb) continue;
+    // Arithmetic on the up/down bit and the cover epoch instead of
+    // branches: both are random per observation, so branches on them
+    // mispredict.  Only a cover completion branches.
+    const std::int8_t prev = state_[a];
+    const int now = o->up ? 1 : 0;
+    observed += static_cast<int>(prev == -1);
+    active += now - static_cast<int>(prev == 1);
+    positives += static_cast<std::size_t>(now);
+    state_[a] = static_cast<std::int8_t>(now);
+    pass_seen += static_cast<int>(pass_epoch_[a] != pass);
+    pass_epoch_[a] = pass;
+    if (pass_seen == eb_count_) {
+      fbs_spans_.push_back(static_cast<double>(rel - pass_start_));
+      ++pass;
+      pass_seen = 0;
+      pass_start_ = rel;
+    }
+  }
+  next_sample_ = next_sample;
+  last_obs_rel_ = last_rel;
+  fresh_samples_ = fresh;
+  max_active_ = max_active;
+  max_gap_seconds_ = std::max(max_gap_seconds_, static_cast<double>(max_gap));
+  active_ = active;
+  observed_ = observed;
+  positives_ = positives;
+  pass_ = pass;
+  pass_seen_ = pass_seen;
+  observations_ += static_cast<std::size_t>(last - first);
+}
+
 void BlockReconState::finalize(ReconResult& out) {
   out = ReconResult{};
   out.eb_count = eb_count_;
@@ -285,7 +366,7 @@ ReconResult reconstruct(const probe::ObservationVec& merged, int eb_count,
                         probe::ProbeWindow window, const ReconOptions& opt) {
   BlockReconState state;
   state.begin(eb_count, window, opt);
-  for (const auto& obs : merged) state.push(obs);
+  state.push_span(merged.data(), merged.data() + merged.size());
   ReconResult res;
   state.finalize(res);
   return res;

@@ -124,33 +124,13 @@ class BlockReconState {
   /// Feeds the next merged observation (rel_time non-decreasing).
   /// Observations pacing past the window end are tolerated, exactly as
   /// in the batch pass.
-  void push(const probe::Observation& obs) {
-    if (degenerate_) return;
-    const auto rel = static_cast<std::int64_t>(obs.rel_time);
-    emit_until(rel - 1);
-    note_gap(rel);
-    last_obs_rel_ = rel;
-    ++observations_;
-    const std::size_t a = obs.addr;
-    if (a >= static_cast<std::size_t>(eb_count_)) return;
-    // Arithmetic on the up/down bit instead of branches: the bit is
-    // random per observation, so branches on it mispredict.
-    const std::int8_t prev = state_[a];
-    const int now = obs.up ? 1 : 0;
-    observed_ += static_cast<int>(prev == -1);
-    active_ += now - static_cast<int>(prev == 1);
-    positives_ += static_cast<std::size_t>(now);
-    state_[a] = static_cast<std::int8_t>(now);
-    if (pass_epoch_[a] != pass_) {
-      pass_epoch_[a] = pass_;
-      if (++pass_seen_ == eb_count_) {
-        fbs_spans_.push_back(static_cast<double>(rel - pass_start_));
-        ++pass_;
-        pass_seen_ = 0;
-        pass_start_ = rel;
-      }
-    }
-  }
+  void push(const probe::Observation& obs) { push_span(&obs, &obs + 1); }
+
+  /// Feeds [first, last) in order: the reconstruction kernel.  Exactly
+  /// a push() of each observation in turn, for any split of a stream
+  /// into spans.
+  void push_span(const probe::Observation* first,
+                 const probe::Observation* last);
 
   /// Emits the trailing samples and gap, and moves the result out.
   /// The state is spent afterwards; call begin() to reuse it.

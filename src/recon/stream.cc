@@ -2,11 +2,28 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace diurnal::recon {
 
 using util::SimTime;
+
+namespace {
+
+// Merges `heads` through the worker's bounded chunk and hands each
+// chunk to `consume` as one span, so the merge output stays in L1
+// between the merge and the reconstruction.
+template <typename Consume>
+void merge_chunked(probe::ProbeScratch& scratch,
+                   std::vector<probe::MergeHead>& heads, Consume&& consume) {
+  probe::Observation* const chunk = scratch.merge_chunk.data();
+  std::size_t k = heads.size();
+  while (k > 0) {
+    consume(chunk, chunk + probe::merge_runs(heads.data(), k, chunk,
+                                             probe::kMergeChunk));
+  }
+}
+
+}  // namespace
 
 void BlockStream::begin(const sim::BlockProfile& block,
                         const BlockObservationConfig& config,
@@ -101,83 +118,55 @@ void BlockStream::advance_to(SimTime until) {
   }
 }
 
-std::int64_t BlockStream::lower_bound(const Stream& s) const noexcept {
-  // Anything the stream may yet yield orders at or after: its first
-  // unconsumed buffered observation (timestamp already final even while
-  // its value is held by repair), else its prober's next round start
-  // through the skew transform, else +inf once exhausted and drained.
-  if (s.consumed < s.base + s.buf.size()) {
-    return s.buf[s.consumed - s.base].rel_time;
+void BlockStream::pump() {
+  // One cut per call (probe::merge_cut), then a run merge of the
+  // eligible prefixes with no further blocking checks.  A stream's
+  // watermark is its prober's next round start through the skew
+  // transform.
+  std::vector<probe::MergeSource>& sources = scratch_->merge_sources;
+  sources.clear();
+  for (const Stream& s : streams_) {
+    const probe::Observation* const buf = s.buf.data();
+    sources.push_back(probe::MergeSource{
+        buf + (s.consumed - s.base), buf + (s.released - s.base),
+        buf + s.buf.size(),
+        s.state.done
+            ? probe::kExhausted
+            : std::max<std::int64_t>(
+                  0, s.skew.transform(s.state.next_round -
+                                      config_->window.start))});
   }
-  if (!s.state.done) {
-    return std::max<std::int64_t>(
-        0, s.skew.transform(s.state.next_round - config_->window.start));
+  std::vector<probe::MergeHead>& heads = scratch_->merge_heads;
+  probe::merge_cut(sources, heads);
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    streams_[i].consumed +=
+        static_cast<std::size_t>(sources[i].released - sources[i].head);
   }
-  return std::numeric_limits<std::int64_t>::max();
+  merge_chunked(*scratch_, heads,
+                [this](const probe::Observation* first,
+                       const probe::Observation* last) {
+                  release(first, last);
+                });
 }
 
-void BlockStream::pump() {
-  // Pops observations in the batch merge's total order (rel_time,
-  // stream index) whenever no stream can still produce one ordering
-  // before them.  Only the popped stream's bound moves while pumping,
-  // so the others' bounds are computed once per call, and the best
-  // stream pops its whole run of released observations that order
-  // before the runner-up's (bound, index) — equal times go to the
-  // lower stream index, as in the batch merge.
-  const std::size_t n = streams_.size();
-  if (n == 0) return;
-  bounds_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) bounds_[i] = lower_bound(streams_[i]);
-  for (;;) {
-    std::size_t best = 0;
-    std::size_t next = n;  // runner-up; n when there is none
-    for (std::size_t i = 1; i < n; ++i) {
-      if (bounds_[i] < bounds_[best]) {
-        next = best;
-        best = i;
-      } else if (next == n || bounds_[i] < bounds_[next]) {
-        next = i;
-      }
-    }
-    Stream& s = streams_[best];
-    // A watermark, an exhausted stream or a head held by repair blocks
-    // every later observation.
-    if (s.consumed >= s.released) return;
-    const std::int64_t limit =
-        next == n ? std::numeric_limits<std::int64_t>::max() : bounds_[next];
-    const bool wins_ties = best < next;
-    const probe::Observation* const first =
-        s.buf.data() + (s.consumed - s.base);
-    const probe::Observation* const stop = s.buf.data() + (s.released - s.base);
-    const probe::Observation* last = first + 1;
-    while (last != stop) {
-      const std::int64_t rel = last->rel_time;
-      if (rel > limit || (rel == limit && !wins_ties)) break;
-      ++last;
-    }
-    // Before the fork, observations up to the classification end go to
-    // recon_ alone; the first one past it forks classify_recon_.
-    const probe::Observation* split = first;
-    if (fork_pending_) {
-      const std::int64_t classify_rel = classify_end_ - config_->window.start;
-      split = std::partition_point(
-          first, last, [classify_rel](const probe::Observation& o) {
-            return static_cast<std::int64_t>(o.rel_time) <= classify_rel;
-          });
-      for (const probe::Observation* o = first; o != split; ++o) {
-        recon_.push(*o);
-      }
-      if (split != last) fork_classify();
-    }
-    for (const probe::Observation* o = split; o != last; ++o) recon_.push(*o);
-    if (classify_pending_ && !fork_pending_) {
-      for (const probe::Observation* o = split; o != last; ++o) {
-        classify_recon_.push(*o);
-      }
-    }
-    s.consumed += static_cast<std::size_t>(last - first);
-    bounds_[best] = lower_bound(s);
+void BlockStream::release(const probe::Observation* first,
+                          const probe::Observation* last) {
+  // Before the fork, observations up to the classification end go to
+  // recon_ alone; the first one past it forks classify_recon_, which
+  // then takes the rest.
+  if (fork_pending_) {
+    const std::int64_t classify_rel = classify_end_ - config_->window.start;
+    const probe::Observation* const split = std::partition_point(
+        first, last, [classify_rel](const probe::Observation& o) {
+          return static_cast<std::int64_t>(o.rel_time) <= classify_rel;
+        });
+    recon_.push_span(first, split);
+    if (split == last) return;
+    fork_classify();
+    first = split;
   }
+  recon_.push_span(first, last);
+  if (classify_pending_) classify_recon_.push_span(first, last);
 }
 
 void BlockStream::fork_classify() {
@@ -207,27 +196,19 @@ void BlockStream::drain_classify_tail() {
   // a repair flip needs a rescan, and any rescan inside the
   // classification window has been ingested and applied.  Draining the
   // tails in merge order is therefore exactly the batch end-of-stream.
-  std::vector<std::size_t> cursor(streams_.size());
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    cursor[i] = streams_[i].consumed;
+  // The cursors stay put: the detection stream keeps them pending.
+  std::vector<probe::MergeHead>& heads = scratch_->merge_heads;
+  heads.clear();
+  for (const Stream& s : streams_) {
+    if (s.consumed == s.base + s.buf.size()) continue;
+    heads.push_back(probe::MergeHead{s.buf.data() + (s.consumed - s.base),
+                                     s.buf.data() + s.buf.size()});
   }
-  for (;;) {
-    std::size_t best = streams_.size();
-    std::uint32_t best_rel = 0;
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      const Stream& s = streams_[i];
-      if (cursor[i] >= s.base + s.buf.size()) continue;
-      const std::uint32_t rel = s.buf[cursor[i] - s.base].rel_time;
-      if (best == streams_.size() || rel < best_rel) {
-        best = i;
-        best_rel = rel;
-      }
-    }
-    if (best == streams_.size()) break;
-    const Stream& s = streams_[best];
-    classify_recon_.push(s.buf[cursor[best] - s.base]);
-    ++cursor[best];
-  }
+  merge_chunked(*scratch_, heads,
+                [this](const probe::Observation* first,
+                       const probe::Observation* last) {
+                  classify_recon_.push_span(first, last);
+                });
 }
 
 void BlockStream::finalize_classify(DegradedReconResult& out) {
@@ -371,8 +352,7 @@ void BlockStream::restore(util::StateReader& r) {
 }
 
 std::size_t BlockStream::memory_bytes() const noexcept {
-  std::size_t bytes = streams_.capacity() * sizeof(Stream) +
-                      bounds_.capacity() * sizeof(std::int64_t);
+  std::size_t bytes = streams_.capacity() * sizeof(Stream);
   for (const auto& s : streams_) {
     bytes += s.buf.capacity() * sizeof(probe::Observation);
   }

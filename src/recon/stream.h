@@ -16,8 +16,9 @@
 //     ones;
 //   * the k-way merge pops an observation only once no other stream can
 //     still produce one ordering before it (per-stream watermarks from
-//     the prober's next-round time, through the skew transform), a run
-//     of one stream's observations at a time;
+//     the prober's next-round time, through the skew transform): one cut
+//     per pump, then a run merge of the eligible prefixes through the
+//     worker's bounded chunk;
 //   * reconstruction emits samples as an idempotent prefix
 //     (BlockReconState).
 #pragma once
@@ -166,8 +167,9 @@ class BlockStream {
     std::uint32_t last_rel = 0;
   };
 
-  std::int64_t lower_bound(const Stream& s) const noexcept;
   void pump();
+  void release(const probe::Observation* first,
+               const probe::Observation* last);
   void fork_classify();
   void drain_classify_tail();
   void fill_observers(std::vector<fault::ObserverStreamInfo>& out) const;
@@ -182,7 +184,6 @@ class BlockStream {
   /// not fed; recon_ stands in for it.
   bool fork_pending_ = false;
   std::vector<Stream> streams_;
-  std::vector<std::int64_t> bounds_;  ///< pump(): per-stream lower bounds
   BlockReconState recon_;           ///< full (detection) window
   BlockReconState classify_recon_;  ///< union-window mode only
   std::size_t delivered_ = 0;

@@ -31,6 +31,7 @@
 #include "core/pipeline.h"
 #include "core/series_store.h"
 #include "core/shard.h"
+#include "core/snapshot_server.h"
 #include "core/streaming.h"
 #include "fault/fault_plan.h"
 #include "recon/stream.h"
@@ -686,6 +687,23 @@ TEST(FleetCheckpoint, SnapshotBeforeFirstAdvanceIsAValidCheckpoint) {
   second.restore(r);
   EXPECT_EQ(second.clock(), second.window_start());
   EXPECT_EQ(core::digest_hex(core::fleet_digest(second.run_to_completion())),
+            kGoldenDigest);
+}
+
+// The engine and the server copy their config: both built from a
+// temporary golden_config(...), which is gone before they run, reach the
+// golden digest.  (With a borrowed config, the observation configs'
+// fault-plan pointer dangles; an ASan build catches the read.)
+TEST(FleetCheckpoint, EngineAndServerBuiltFromTemporaryConfig) {
+  core::StreamingFleet engine(golden_world(), golden_config(2));
+  engine.advance_to(engine.window_start() + util::kSecondsPerDay);
+  EXPECT_EQ(core::digest_hex(core::fleet_digest(engine.finalize())),
+            kGoldenDigest);
+
+  core::SnapshotServer server(golden_world(), golden_config(2));
+  server.start();
+  server.feed_all();
+  EXPECT_EQ(core::digest_hex(core::fleet_digest(server.drain())),
             kGoldenDigest);
 }
 

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -563,6 +565,669 @@ TEST(BlockStreamTest, ReconForkEqualsDedicatedMachine) {
     forked.finalize(got);
     dedicated.finalize(want);
     expect_recon_equal(got, want);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Merge and reconstruction kernels against their oracles
+// ---------------------------------------------------------------------------
+
+// One observer stream as the streaming merge sees it: everything buffered
+// so far (never compacted), the merge and repair cursors, and the lower
+// bound on what the stream has yet to produce.
+struct RefSource {
+  ObservationVec buf;
+  std::size_t consumed = 0;
+  std::size_t released = 0;
+  std::int64_t watermark = probe::kExhausted;
+};
+
+// The per-run watermark merge the streaming pipeline used before the
+// cut-once rewrite, kept as the oracle for probe::merge_cut +
+// probe::merge_runs.  Pops in (rel_time, stream index) order whenever
+// no stream can still produce one ordering before; the best stream pops
+// its whole run of released observations that order before the
+// runner-up's (bound, index), recomputing its bound after each run.
+void reference_pump(std::vector<RefSource>& src, ObservationVec& out) {
+  const auto lower_bound = [](const RefSource& s) -> std::int64_t {
+    return s.consumed < s.buf.size() ? s.buf[s.consumed].rel_time
+                                     : s.watermark;
+  };
+  const std::size_t n = src.size();
+  if (n == 0) return;
+  std::vector<std::int64_t> bounds(n);
+  for (std::size_t i = 0; i < n; ++i) bounds[i] = lower_bound(src[i]);
+  for (;;) {
+    std::size_t best = 0;
+    std::size_t next = n;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (bounds[i] < bounds[best]) {
+        next = best;
+        best = i;
+      } else if (next == n || bounds[i] < bounds[next]) {
+        next = i;
+      }
+    }
+    RefSource& s = src[best];
+    if (s.consumed >= s.released) return;
+    const std::int64_t limit =
+        next == n ? std::numeric_limits<std::int64_t>::max() : bounds[next];
+    const bool wins_ties = best < next;
+    std::size_t last = s.consumed + 1;
+    while (last != s.released) {
+      const std::int64_t rel = s.buf[last].rel_time;
+      if (rel > limit || (rel == limit && !wins_ties)) break;
+      ++last;
+    }
+    out.insert(out.end(),
+               s.buf.begin() + static_cast<std::ptrdiff_t>(s.consumed),
+               s.buf.begin() + static_cast<std::ptrdiff_t>(last));
+    s.consumed = last;
+    bounds[best] = lower_bound(s);
+  }
+}
+
+// The production merge over the same sources: one cut, then the run
+// merge through a bounded chunk of `cap` observations, as
+// recon::BlockStream drives it.  A guard slot past the chunk catches a
+// merge that writes beyond its capacity.
+void production_pump(std::vector<RefSource>& src, ObservationVec& out,
+                     std::size_t cap) {
+  std::vector<probe::MergeSource> sources;
+  for (const RefSource& s : src) {
+    sources.push_back(probe::MergeSource{s.buf.data() + s.consumed,
+                                         s.buf.data() + s.released,
+                                         s.buf.data() + s.buf.size(),
+                                         s.watermark});
+  }
+  std::vector<probe::MergeHead> heads;
+  probe::merge_cut(sources, heads);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i].consumed +=
+        static_cast<std::size_t>(sources[i].released - sources[i].head);
+  }
+  constexpr probe::Observation kGuard{0xFFFFFFFFu, 0xAB, true};
+  ObservationVec chunk(cap + 1);
+  chunk[cap] = kGuard;
+  std::size_t k = heads.size();
+  while (k > 0) {
+    const std::size_t got =
+        probe::merge_runs(heads.data(), k, chunk.data(), cap);
+    ASSERT_LE(got, cap);
+    ASSERT_EQ(chunk[cap].rel_time, kGuard.rel_time) << "wrote past the chunk";
+    ASSERT_EQ(chunk[cap].addr, kGuard.addr) << "wrote past the chunk";
+    out.insert(out.end(), chunk.begin(),
+               chunk.begin() + static_cast<std::ptrdiff_t>(got));
+  }
+}
+
+bool same_observations(const ObservationVec& a, const ObservationVec& b) {
+  const auto same = [](const probe::Observation& x,
+                       const probe::Observation& y) {
+    return x.rel_time == y.rel_time && x.addr == y.addr && x.up == y.up;
+  };
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), same);
+}
+
+// Runs both merges on copies of `src`; they must pop the same sequence
+// and leave the same cursors.  Continues with the oracle's state.
+ObservationVec checked_pump(std::vector<RefSource>& src,
+                            std::size_t cap = probe::kMergeChunk) {
+  std::vector<RefSource> prod = src;
+  ObservationVec want;
+  ObservationVec got;
+  reference_pump(src, want);
+  production_pump(prod, got, cap);
+  EXPECT_TRUE(same_observations(got, want))
+      << "merged " << got.size() << " observations, oracle " << want.size();
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    EXPECT_EQ(prod[i].consumed, src[i].consumed) << "stream " << i;
+  }
+  return want;
+}
+
+std::vector<std::uint8_t> recon_image(const recon::BlockReconState& s) {
+  util::StateWriter w;
+  w.begin_section(util::state_tag("RECN"));
+  s.save(w);
+  w.end_section();
+  return w.take();
+}
+
+// recon::BlockStream's detection pass rebuilt from the public stage
+// APIs, merging through checked_pump() and reconstructing with one
+// per-observation push at a time: the oracle for the stream's
+// production merge and span reconstruction.
+class ReferenceStream {
+ public:
+  void begin(const sim::BlockProfile& block,
+             const recon::BlockObservationConfig& oc) {
+    block_ = &block;
+    oc_ = &oc;
+    inject_ = oc.faults != nullptr && !oc.faults->empty();
+    const std::size_t n =
+        oc.observers.size() + (oc.additional_observations ? 1 : 0);
+    lanes_.clear();
+    lanes_.resize(n);
+    sources_.clear();
+    sources_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      Lane& l = lanes_[i];
+      const bool extra = i >= oc.observers.size();
+      l.spec = extra ? probe::additional_observer() : oc.observers[i];
+      l.prober = oc.prober;
+      if (extra) l.prober.kind = probe::ProberKind::kAdditional;
+      probe::round_prober_begin(block, l.spec, oc.window, l.prober, l.state);
+      if (inject_) l.skew = fault::resolve_skew(*oc.faults, l.spec.code);
+    }
+    recon_.begin(block.eb_count, oc.window, oc.recon);
+    merged_.clear();
+  }
+
+  // Ingests like BlockStream::advance_to and returns this pump's order.
+  ObservationVec advance_to(util::SimTime until) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      Lane& l = lanes_[i];
+      RefSource& s = sources_[i];
+      if (!l.state.done) {
+        const std::size_t old = s.buf.size();
+        probe::round_prober_resume(*block_, l.spec, oc_->loss, oc_->window,
+                                   l.prober, scratch_, l.state, until, s.buf);
+        if (inject_) {
+          fault::apply_faults_chunk(*oc_->faults, l.spec.code, oc_->window,
+                                    s.buf, old, l.carry);
+        }
+      }
+      s.released = oc_->one_loss_repair ? l.repair.ingest(s.buf, 0)
+                                        : s.buf.size();
+    }
+    return pump();
+  }
+
+  // Drains like BlockStream::finalize.
+  ObservationVec finish() {
+    ObservationVec order = advance_to(oc_->window.end);
+    if (oc_->one_loss_repair) {
+      for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        sources_[i].released = lanes_[i].repair.finish();
+      }
+    }
+    const ObservationVec tail = pump();
+    order.insert(order.end(), tail.begin(), tail.end());
+    return order;
+  }
+
+  const recon::BlockReconState& recon() const { return recon_; }
+  recon::BlockReconState& recon() { return recon_; }
+  // Everything popped so far, in merge order.
+  const ObservationVec& merged() const { return merged_; }
+  // Pumps that ended with an observation held by repair.
+  std::size_t holds() const { return holds_; }
+
+ private:
+  struct Lane {
+    probe::ObserverSpec spec{};
+    probe::ProberConfig prober{};
+    probe::RoundProberState state{};
+    fault::FaultCarry carry{};
+    fault::SkewResolution skew{};
+    recon::StreamRepair repair;
+  };
+
+  ObservationVec pump() {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      const Lane& l = lanes_[i];
+      const std::int64_t next_rel = l.state.next_round - oc_->window.start;
+      sources_[i].watermark =
+          l.state.done ? probe::kExhausted
+                       : std::max<std::int64_t>(0, l.skew.transform(next_rel));
+    }
+    const ObservationVec order = checked_pump(sources_);
+    for (const probe::Observation& o : order) recon_.push(o);
+    merged_.insert(merged_.end(), order.begin(), order.end());
+    for (const RefSource& s : sources_) {
+      if (s.released < s.buf.size()) {
+        ++holds_;
+        break;
+      }
+    }
+    return order;
+  }
+
+  const sim::BlockProfile* block_ = nullptr;
+  const recon::BlockObservationConfig* oc_ = nullptr;
+  bool inject_ = false;
+  probe::ProbeScratch scratch_;
+  std::vector<Lane> lanes_;
+  std::vector<RefSource> sources_;
+  recon::BlockReconState recon_;
+  ObservationVec merged_;
+  std::size_t holds_ = 0;
+};
+
+void expect_stats_equal(const recon::ReconStats& got,
+                        const recon::ReconStats& want) {
+  EXPECT_EQ(got.start, want.start);
+  EXPECT_EQ(got.step, want.step);
+  EXPECT_EQ(got.len, want.len);
+  EXPECT_EQ(got.responsive, want.responsive);
+  EXPECT_EQ(got.mean_reply_rate, want.mean_reply_rate);
+  EXPECT_EQ(got.observations, want.observations);
+  EXPECT_EQ(got.eb_count, want.eb_count);
+  EXPECT_EQ(got.observed_targets, want.observed_targets);
+  EXPECT_EQ(got.max_active, want.max_active);
+  EXPECT_EQ(got.evidence_fraction, want.evidence_fraction);
+  EXPECT_EQ(got.max_gap_seconds, want.max_gap_seconds);
+  EXPECT_EQ(got.fbs_spans_seconds, want.fbs_spans_seconds);
+  ASSERT_EQ(got.gaps.size(), want.gaps.size());
+  for (std::size_t i = 0; i < want.gaps.size(); ++i) {
+    EXPECT_EQ(got.gaps[i].start, want.gaps[i].start);
+    EXPECT_EQ(got.gaps[i].end, want.gaps[i].end);
+  }
+}
+
+// A random fault plan over the week dataset's observers: outages,
+// truncation, burst loss and (in half the plans) clock skew with drift,
+// which the fleet would run in its separate-pass mode.
+fault::FaultPlan random_plan(std::mt19937_64& rng, ProbeWindow w) {
+  const std::uint64_t span = static_cast<std::uint64_t>(w.end - w.start);
+  const auto who = [&] { return "ejnw*"[rng() % 5]; };
+  fault::FaultPlan plan;
+  plan.seed = rng();
+  for (auto n = rng() % 3; n > 0; --n) {
+    fault::OutageSpec o;
+    o.observer = who();
+    o.kind = static_cast<fault::OutageKind>(rng() % 3);
+    o.start = w.start + static_cast<util::SimTime>(rng() % span);
+    o.end = o.start + 1 + static_cast<util::SimTime>(rng() % (span / 2));
+    plan.outages.push_back(o);
+  }
+  for (auto n = rng() % 2; n > 0; --n) {
+    fault::TruncationSpec tr;
+    tr.observer = who();
+    tr.prob = 0.1 + 0.8 * static_cast<double>(rng() % 1000) / 1000.0;
+    plan.truncations.push_back(tr);
+  }
+  for (auto n = rng() % 3; n > 0; --n) {
+    fault::BurstLossSpec b;
+    b.observer = who();
+    b.rate = 0.3 + 0.7 * static_cast<double>(rng() % 1000) / 1000.0;
+    b.mean_interval = util::kSecondsPerHour +
+                      static_cast<util::SimTime>(rng() % (8 * 3600));
+    b.mean_duration = 60 + static_cast<util::SimTime>(rng() % 3600);
+    plan.bursts.push_back(b);
+  }
+  if (rng() % 2 == 0) {
+    fault::ClockSkewSpec sk;
+    sk.observer = who();
+    sk.skew_seconds = static_cast<std::int64_t>(rng() % 601) - 300;
+    sk.drift_ppm = static_cast<double>(rng() % 1001) - 500.0;
+    plan.skews.push_back(sk);
+  }
+  return plan;
+}
+
+// Random advance schedule: epochs of random length, some landing on a
+// round edge or one second either side of it.
+std::vector<util::SimTime> random_schedule(std::mt19937_64& rng,
+                                           ProbeWindow w) {
+  std::vector<util::SimTime> cuts;
+  for (util::SimTime t = w.start; t < w.end;) {
+    switch (rng() % 3) {
+      case 0:
+        t += 1 + static_cast<util::SimTime>(rng() % util::kSecondsPerDay);
+        break;
+      case 1:
+        t += static_cast<util::SimTime>(rng() % 3600);
+        break;
+      default: {
+        const util::SimTime edge =
+            w.start + ((t - w.start) / util::kRoundSeconds +
+                       1 + static_cast<util::SimTime>(rng() % 12)) *
+                          util::kRoundSeconds;
+        t = edge - 1 + static_cast<util::SimTime>(rng() % 3);
+      }
+    }
+    cuts.push_back(std::min(t, w.end));
+  }
+  return cuts;
+}
+
+// Random plans (bursts, dropouts, truncation, skew), random advance
+// chunkings on and around round edges, repair holds across advances and
+// a save/restore mid-run: every pump of the production merge pops the
+// oracle's sequence, BlockStream's reconstruction equals the oracle's
+// per-observation one after every advance, and the finalized statistics
+// and series are bitwise equal.
+TEST(StreamMergeTest, CutMergeMatchesPerRunPumpOnRandomPlans) {
+  std::mt19937_64 rng(0xC07);
+  const auto ds = core::dataset("2020w2-ejnw");
+  const ProbeWindow w = ds.window();
+  std::size_t holds = 0;
+  std::size_t skewed = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const auto plan = random_plan(rng, w);
+    skewed += plan.skews.empty() ? 0 : 1;
+    auto oc = week_config(&plan);
+    oc.additional_observations = rng() % 2 == 0;
+    oc.one_loss_repair = rng() % 4 != 0;
+    const auto& block = responsive_block(rng() % 8);
+    const auto cuts = random_schedule(rng, w);
+    const std::size_t restore_at = rng() % cuts.size();
+    SCOPED_TRACE("trial " + std::to_string(trial));
+
+    ReferenceStream ref;
+    ref.begin(block, oc);
+    probe::ProbeScratch scratch;
+    recon::BlockStream first;
+    recon::BlockStream second;
+    first.begin(block, oc, scratch);
+    recon::BlockStream* stream = &first;
+    for (std::size_t e = 0; e < cuts.size(); ++e) {
+      ref.advance_to(cuts[e]);
+      stream->advance_to(cuts[e]);
+      ASSERT_EQ(recon_image(stream->recon_state()), recon_image(ref.recon()))
+          << "advance " << e;
+      if (e == restore_at) {
+        save_restore(first, second, block, oc, scratch, 0);
+        stream = &second;
+      }
+    }
+    ref.finish();
+    recon::DegradedReconStats got;
+    stream->finalize_stats(got);
+    recon::ReconStats want;
+    ref.recon().finalize_stats(want);
+    expect_stats_equal(got.recon, want);
+    const auto got_series = stream->series();
+    const auto want_series = ref.recon().series_view();
+    ASSERT_EQ(got_series.size(), want_series.size());
+    EXPECT_TRUE(std::equal(got_series.begin(), got_series.end(),
+                           want_series.begin()));
+    holds += ref.holds();
+  }
+  EXPECT_GT(holds, 0u);
+  EXPECT_GT(skewed, 0u);
+}
+
+// Synthetic sources with timestamps drawn from a narrow range: repeated
+// timestamps within a stream, ties across streams at equal rel_time,
+// held prefixes, watermarks equal to buffered times, exhausted streams,
+// and pumps longer than one merge chunk: the production chunk, and small
+// chunks that cut runs at every offset.
+TEST(StreamMergeTest, TiesAndRepeatedTimestampsMatchPerRunPump) {
+  std::mt19937_64 rng(0x7135);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + rng() % 6;
+    const bool big = trial % 50 == 0;
+    const std::size_t cap =
+        big || trial % 2 == 0 ? probe::kMergeChunk : 1 + rng() % 16;
+    std::vector<RefSource> src(n);
+    std::vector<std::uint32_t> next(n, 0);
+    std::vector<bool> done(n, false);
+    for (int round = 0; round < 6; ++round) {
+      for (std::size_t i = 0; i < n; ++i) {
+        RefSource& s = src[i];
+        if (!done[i]) {
+          const std::size_t add = big ? 2000 + rng() % 3000 : rng() % 12;
+          for (std::size_t j = 0; j < add; ++j) {
+            next[i] += static_cast<std::uint32_t>(rng() % 3 == 0 ? 1 : 0);
+            s.buf.push_back(probe::Observation{
+                next[i], static_cast<std::uint8_t>(rng() % 256),
+                rng() % 2 == 0});
+          }
+          done[i] = rng() % 8 == 0;
+        }
+        // Release some prefix (never revoked), or everything once done.
+        s.released = done[i] ? s.buf.size()
+                             : s.released + rng() % (s.buf.size() -
+                                                     s.released + 1);
+        // What the stream produces next orders at or after its last
+        // buffered observation, sometimes at the same time.
+        if (done[i]) {
+          s.watermark = probe::kExhausted;
+        } else {
+          next[i] += static_cast<std::uint32_t>(rng() % 2);
+          s.watermark = next[i];
+        }
+      }
+      checked_pump(src, cap);
+      if (HasFailure()) return;
+    }
+    // End of stream: everything released, nothing left to produce.
+    for (RefSource& s : src) {
+      s.released = s.buf.size();
+      s.watermark = probe::kExhausted;
+    }
+    checked_pump(src, cap);
+    for (const RefSource& s : src) ASSERT_EQ(s.consumed, s.buf.size());
+  }
+}
+
+// Union-window mode with the classification fork landing strictly
+// inside a full 4096-observation merge chunk: the advance before the
+// classification end is placed so that the last pump merges at least a
+// whole chunk, with the first observation past the classification end
+// inside its first chunk.  Both results equal dedicated batch passes.
+TEST(StreamMergeTest, UnionForkInsideAFullMergeChunk) {
+  const auto ds = core::dataset("2020m1-ejnw");
+  recon::BlockObservationConfig oc;
+  oc.observers = ds.observers();
+  oc.window = ds.window();
+  const ProbeWindow w = oc.window;
+  // Observations merged once advance_to(t) returns.
+  const auto merged_by = [&](const sim::BlockProfile& block, util::SimTime t) {
+    ReferenceStream ref;
+    ref.begin(block, oc);
+    ref.advance_to(t);
+    return ref.merged().size();
+  };
+  bool tested = false;
+  for (std::size_t b = 0; b < 6 && !tested; ++b) {
+    const auto& block = responsive_block(b);
+    util::SimTime after = w.start + 12 * util::kSecondsPerDay;
+    for (int attempt = 0; attempt < 8 && !tested; ++attempt) {
+      const util::SimTime classify_end = straddling_end(block, oc, after);
+      after = classify_end + 3 * util::kRoundSeconds;
+      const std::int64_t classify_rel = classify_end - w.start;
+      ReferenceStream ref;
+      ref.begin(block, oc);
+      ref.advance_to(classify_end);
+      const ObservationVec& all = ref.merged();
+      // Merged by the classification end, and how many of those lie at
+      // or before it; the last pump forks only if some lie past it.
+      const std::size_t total = all.size();
+      const auto before_end = static_cast<std::size_t>(
+          std::partition_point(all.begin(), all.end(),
+                               [&](const probe::Observation& o) {
+                                 return o.rel_time <= classify_rel;
+                               }) -
+          all.begin());
+      if (total == before_end || before_end < probe::kMergeChunk) continue;
+      // The earliest advance whose merged count c leaves the fork inside
+      // the next pump's first chunk: before_end - kMergeChunk < c.
+      util::SimTime lo = w.start;
+      util::SimTime hi = classify_end;
+      while (lo < hi) {
+        const util::SimTime mid = lo + (hi - lo) / 2;
+        if (merged_by(block, mid) + probe::kMergeChunk > before_end) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      const std::size_t c = merged_by(block, lo);
+      if (c >= before_end || c + probe::kMergeChunk > total) continue;
+      tested = true;
+      SCOPED_TRACE("block " + std::to_string(b) + " classify_end +" +
+                   std::to_string(classify_rel) + " advance +" +
+                   std::to_string(lo - w.start));
+
+      probe::ProbeScratch scratch;
+      recon::BlockStream stream;
+      stream.begin(block, oc, scratch, classify_end);
+      stream.advance_to(lo);
+      ASSERT_EQ(stream.health().observations, c);
+      stream.advance_to(classify_end);
+      ASSERT_EQ(stream.health().observations, total);
+
+      recon::BlockObservationConfig classify_oc = oc;
+      classify_oc.window = ProbeWindow{w.start, classify_end};
+      recon::DegradedReconResult got_classify;
+      stream.finalize_classify(got_classify);
+      expect_recon_equal(got_classify.recon,
+                         batch_oracle(block, classify_oc).recon);
+      recon::DegradedReconResult got_detect;
+      stream.finalize(got_detect);
+      expect_recon_equal(got_detect.recon, batch_oracle(block, oc).recon);
+    }
+  }
+  EXPECT_TRUE(tested);
+}
+
+// The reconstruction state machine written out per observation, as
+// BlockReconState::push and finalize_stats were before the span kernel:
+// the oracle for push_span().  Fills `series` and returns the statistics.
+recon::ReconStats reference_reconstruct(const ObservationVec& obs, int eb,
+                                        ProbeWindow w,
+                                        const recon::ReconOptions& opt,
+                                        std::vector<double>& series) {
+  recon::ReconStats out;
+  const std::int64_t duration = w.end - w.start;
+  const std::int64_t step = opt.sample_step;
+  const std::int64_t horizon = opt.stale_horizon;
+  const auto n = static_cast<std::size_t>((duration + step - 1) / step);
+  series.assign(n, 0.0);
+  std::array<int, 256> state;
+  state.fill(-1);
+  std::array<std::uint32_t, 256> pass_epoch{};
+  int active = 0;
+  std::size_t positives = 0;
+  std::size_t next = 0;
+  std::int64_t last = std::numeric_limits<std::int64_t>::min() / 2;
+  std::size_t fresh = 0;
+  std::uint32_t pass = 1;
+  int seen = 0;
+  std::int64_t pass_start = 0;
+  const auto emit = [&](std::int64_t until) {
+    for (; next < n && static_cast<std::int64_t>(next) * step <= until;
+         ++next) {
+      series[next] = active;
+      out.max_active = std::max(out.max_active, series[next]);
+      if (static_cast<std::int64_t>(next) * step - last <= horizon) ++fresh;
+    }
+  };
+  const auto gap = [&](std::int64_t up_to) {
+    const std::int64_t from = std::max<std::int64_t>(last, 0);
+    if (up_to - from > horizon) {
+      out.gaps.push_back(recon::CoverageGap{w.start + from, w.start + up_to});
+    }
+    out.max_gap_seconds =
+        std::max(out.max_gap_seconds, static_cast<double>(up_to - from));
+  };
+  for (const probe::Observation& o : obs) {
+    const std::int64_t rel = o.rel_time;
+    emit(rel - 1);
+    gap(rel);
+    last = rel;
+    ++out.observations;
+    if (o.addr >= eb) continue;
+    const int prev = state[o.addr];
+    const int now = o.up ? 1 : 0;
+    if (prev == -1) ++out.observed_targets;
+    active += now - (prev == 1 ? 1 : 0);
+    positives += static_cast<std::size_t>(now);
+    state[o.addr] = now;
+    if (pass_epoch[o.addr] != pass) {
+      pass_epoch[o.addr] = pass;
+      if (++seen == eb) {
+        out.fbs_spans_seconds.push_back(static_cast<double>(rel - pass_start));
+        ++pass;
+        seen = 0;
+        pass_start = rel;
+      }
+    }
+  }
+  emit(duration);
+  gap(duration);
+  out.start = w.start;
+  out.step = step;
+  out.len = n;
+  out.eb_count = eb;
+  out.responsive = positives > 0;
+  out.evidence_fraction =
+      static_cast<double>(fresh) / static_cast<double>(n);
+  out.mean_reply_rate = out.observations == 0
+                            ? 0.0
+                            : static_cast<double>(positives) /
+                                  static_cast<double>(out.observations);
+  return out;
+}
+
+// push_span() over random cut points equals one push() per observation,
+// checked by image after every span, and its finalized statistics and
+// series equal the per-observation oracle's:
+// observations on and one second either side of sample-emission edges,
+// repeated timestamps, gaps longer than the stale horizon, frequent
+// cover completions (small E(b)), addresses outside E(b), and
+// observations pacing past the window end.
+TEST(ReconSpanTest, PushSpanMatchesPerObservationPush) {
+  std::mt19937_64 rng(0x5BA7);
+  const recon::ReconOptions opt;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int eb = trial % 3 == 0 ? 256 : 1 + static_cast<int>(rng() % 6);
+    const util::SimTime start = 1'000'000;
+    const ProbeWindow w{start, start + 3 * util::kSecondsPerDay +
+                                   static_cast<util::SimTime>(rng() % 7200)};
+    ObservationVec obs;
+    std::int64_t t = 0;
+    while (t < w.end - w.start + 2 * 3600) {
+      switch (rng() % 8) {
+        case 0:  // on, or one second either side of, the next sample edge
+          t = (t / opt.sample_step + 1) * opt.sample_step - 1 +
+              static_cast<std::int64_t>(rng() % 3);
+          break;
+        case 1:  // a gap longer than the horizon
+          t += opt.stale_horizon + 1 + static_cast<std::int64_t>(rng() % 7200);
+          break;
+        case 2:  // a repeated timestamp
+          break;
+        default:
+          t += static_cast<std::int64_t>(rng() % 400);
+      }
+      obs.push_back(probe::Observation{
+          static_cast<std::uint32_t>(t),
+          static_cast<std::uint8_t>(rng() % static_cast<std::uint64_t>(
+                                              eb + (eb < 256 ? 2 : 0))),
+          rng() % 3 != 0});
+    }
+    recon::BlockReconState single;
+    recon::BlockReconState spans;
+    single.begin(eb, w, opt);
+    spans.begin(eb, w, opt);
+    for (std::size_t i = 0; i < obs.size();) {
+      const std::size_t j =
+          std::min(obs.size(), i + static_cast<std::size_t>(rng() % 200));
+      for (std::size_t k = i; k < j; ++k) single.push(obs[k]);
+      spans.push_span(obs.data() + i, obs.data() + j);
+      ASSERT_EQ(recon_image(spans), recon_image(single))
+          << "trial " << trial << " span [" << i << ", " << j << ")";
+      i = j;
+    }
+    recon::ReconStats got;
+    spans.finalize_stats(got);
+    std::vector<double> want_series;
+    const recon::ReconStats want =
+        reference_reconstruct(obs, eb, w, opt, want_series);
+    expect_stats_equal(got, want);
+    EXPECT_FALSE(want.gaps.empty());
+    if (eb < 256) {
+      EXPECT_FALSE(want.fbs_spans_seconds.empty());
+    }
+    ASSERT_EQ(spans.series_view().size(), want_series.size());
+    EXPECT_TRUE(std::equal(want_series.begin(), want_series.end(),
+                           spans.series_view().begin()));
   }
 }
 
